@@ -5,6 +5,7 @@
 //
 //	experiment -id fig4|table1|table2|table3|fig5a|fig5b|table4|fig6|overhead|all|ablations|ablation-<name>|matrix|weighted
 //	           [-scale quick|paper] [-seed N] [-csv]
+//	           [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -id matrix runs the per-scenario policy matrix: every workload
 // scenario under every baseline policy plus the Geomancy loop.
@@ -15,20 +16,35 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"geomancy/internal/experiments"
+	"geomancy/internal/profiling"
 )
 
 func main() {
-	id := flag.String("id", "all", "experiment id: fig4, table1, table2, table3, fig5a, fig5b, table4, fig6, overhead, all")
-	scale := flag.String("scale", "quick", "quick or paper")
-	seed := flag.Int64("seed", 1, "random seed")
-	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-	flag.Parse()
+	os.Exit(run(os.Args[1:]))
+}
+
+// run executes the command line args and returns the process exit code.
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
+	id := fs.String("id", "all", "experiment id: fig4, table1, table2, table3, fig5a, fig5b, table4, fig6, overhead, all")
+	scale := fs.String("scale", "quick", "quick or paper")
+	seed := fs.Int64("seed", 1, "random seed")
+	csv := fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var opts experiments.Options
 	switch *scale {
@@ -38,7 +54,7 @@ func main() {
 		opts = experiments.Paper(*seed)
 	default:
 		fmt.Fprintf(os.Stderr, "experiment: unknown scale %q (want quick or paper)\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 
 	ids := []string{*id}
@@ -49,14 +65,26 @@ func main() {
 		ids = []string{"ablation-epsilon", "ablation-cooldown", "ablation-smoothing",
 			"ablation-optimizer", "ablation-model", "ablation-gaps"}
 	}
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
+		return 1
+	}
+	code := 0
 	for _, one := range ids {
 		start := time.Now()
 		if err := runExperiment(one, opts, *csv); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", one, err)
-			os.Exit(1)
+			code = 1
+			break
 		}
 		fmt.Printf("[%s completed in %v]\n\n", one, time.Since(start).Round(time.Millisecond))
 	}
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiment: writing profiles: %v\n", err)
+		code = 1
+	}
+	return code
 }
 
 func emit(t *experiments.Table, csv bool) error {

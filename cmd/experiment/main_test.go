@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -59,5 +60,28 @@ func TestRunExperimentFig4CSV(t *testing.T) {
 func TestRunExperimentUnknown(t *testing.T) {
 	if err := runExperiment("bogus", experiments.Quick(1), false); err == nil {
 		t.Error("unknown id should error")
+	}
+}
+
+// -cpuprofile and -memprofile must each leave a non-empty profile behind.
+func TestProfileFlagsWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	capture(t, func() error {
+		if code := run([]string{"-id", "table1", "-cpuprofile", cpu, "-memprofile", mem}); code != 0 {
+			t.Errorf("exit code %d", code)
+		}
+		return nil
+	})
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: stat %v, want a non-empty file", path, err)
+		}
+	}
+}
+
+func TestRunRejectsUnknownScale(t *testing.T) {
+	if code := run([]string{"-scale", "huge"}); code != 2 {
+		t.Errorf("exit code %d, want 2", code)
 	}
 }

@@ -17,6 +17,7 @@
 //	         [-retry-attempts 4] [-retry-base 5ms] [-io-timeout 5s]
 //	         [-fail-open] [-fault-drop 0] [-fault-delay 0] [-fault-partial 0]
 //	         [-metrics-addr 127.0.0.1:9090] [-metrics-json metrics.json] [-v]
+//	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // With -checkpoint-dir the process is crash-safe: rotating snapshots are
 // written every -checkpoint-every runs and on graceful shutdown, and a
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"geomancy"
+	"geomancy/internal/profiling"
 )
 
 func main() {
@@ -75,6 +77,8 @@ func main() {
 	listScenarios := flag.Bool("list-scenarios", false, "list the workload scenario catalogue and exit")
 	policyName := flag.String("policy", "geomancy", "placement policy to drive decisions (see -list-policies)")
 	listPolicies := flag.Bool("list-policies", false, "list the placement-policy catalogue and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	if *listScenarios {
@@ -161,7 +165,15 @@ func main() {
 		cancel()
 	}()
 
-	err := run(ctx, &stopping, *runs, *ckptDir, *ckptEvery, *verbose, *metricsAddr, *metricsJSON, faults, reg, opts)
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		log.SetFlags(0)
+		log.Fatalf("geomancy: %v", err)
+	}
+	err = run(ctx, &stopping, *runs, *ckptDir, *ckptEvery, *verbose, *metricsAddr, *metricsJSON, faults, reg, opts)
+	if perr := stopProfiles(); perr != nil {
+		err = errors.Join(err, fmt.Errorf("writing profiles: %w", perr))
+	}
 	switch {
 	case errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "geomancy: interrupted")

@@ -306,45 +306,230 @@ func ParallelMulTo(dst, a, b *Matrix, workers int) {
 
 // MulTransA returns aᵀ×b without materializing the transpose.
 func MulTransA(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	AddMulTransA(out, a, b)
+	return out
+}
+
+// AddMulTransA sets dst += aᵀ×b without materializing the transpose or the
+// product — the weight-gradient accumulation of backpropagation. Each
+// output element sums its products in a register in ascending-k order,
+// starting from +0, and is added to dst once, so the result is
+// bit-identical to AddInPlace(dst, aᵀ×b) computed into a fresh matrix.
+// dst must be a.Cols×b.Cols and must not alias a or b.
+//
+// The reference product skips zero a-elements. For finite b that skip is
+// a no-op: a zero times a finite value is ±0, and adding ±0 cannot change
+// a sum that started at +0 (such a sum is never −0). So the branchless
+// register-tiled kernel runs whenever every element of b is finite; a b
+// holding NaN or ±Inf (a diverging model's gradient) takes the reference
+// loop, where 0·Inf must stay skipped rather than become NaN.
+func AddMulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransA dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: AddMulTransA dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
+	}
+	if a.Rows == 0 || !allFinite(b.Data) {
+		addMulTransARef(dst, a, b)
+		return
+	}
+	// Output rows i..i+3 and columns j, j+1 form a 4×2 register tile. For
+	// each k the tile reads four consecutive elements of a's row k and two
+	// of b's row k; both operands stride by a whole row per k, so the
+	// loads walk byte offsets from fixed base pointers (no bounds checks,
+	// and no pointer ever leaves its slice). The pointers are formed only
+	// for in-range offsets while a.Data and b.Data stay reachable.
+	m, n, kdim := a.Cols, b.Cols, a.Rows
+	strideA, strideB := uintptr(m)*8, uintptr(n)*8
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		d0 := dst.Data[i*n : (i+1)*n]
+		d1 := dst.Data[(i+1)*n : (i+2)*n]
+		d2 := dst.Data[(i+2)*n : (i+3)*n]
+		d3 := dst.Data[(i+3)*n : (i+4)*n]
+		pa := unsafe.Pointer(&a.Data[i])
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			pb := unsafe.Pointer(&b.Data[j])
+			var oa, ob uintptr
+			for k := 0; k < kdim; k++ {
+				qa, qb := unsafe.Add(pa, oa), unsafe.Add(pb, ob)
+				v0 := *(*float64)(qa)
+				v1 := *(*float64)(unsafe.Add(qa, 8))
+				v2 := *(*float64)(unsafe.Add(qa, 16))
+				v3 := *(*float64)(unsafe.Add(qa, 24))
+				b0 := *(*float64)(qb)
+				b1 := *(*float64)(unsafe.Add(qb, 8))
+				s00 += v0 * b0
+				s01 += v0 * b1
+				s10 += v1 * b0
+				s11 += v1 * b1
+				s20 += v2 * b0
+				s21 += v2 * b1
+				s30 += v3 * b0
+				s31 += v3 * b1
+				oa += strideA
+				ob += strideB
 			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			d0[j] += s00
+			d0[j+1] += s01
+			d1[j] += s10
+			d1[j+1] += s11
+			d2[j] += s20
+			d2[j+1] += s21
+			d3[j] += s30
+			d3[j+1] += s31
+		}
+		for ; j < n; j++ {
+			var s0, s1, s2, s3 float64
+			pb := unsafe.Pointer(&b.Data[j])
+			var oa, ob uintptr
+			for k := 0; k < kdim; k++ {
+				qa := unsafe.Add(pa, oa)
+				bv := *(*float64)(unsafe.Add(pb, ob))
+				s0 += *(*float64)(qa) * bv
+				s1 += *(*float64)(unsafe.Add(qa, 8)) * bv
+				s2 += *(*float64)(unsafe.Add(qa, 16)) * bv
+				s3 += *(*float64)(unsafe.Add(qa, 24)) * bv
+				oa += strideA
+				ob += strideB
 			}
+			d0[j] += s0
+			d1[j] += s1
+			d2[j] += s2
+			d3[j] += s3
 		}
 	}
-	return out
+	for ; i < m; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		pa := unsafe.Pointer(&a.Data[i])
+		for j := range drow {
+			var s float64
+			pb := unsafe.Pointer(&b.Data[j])
+			var oa, ob uintptr
+			for k := 0; k < kdim; k++ {
+				s += *(*float64)(unsafe.Add(pa, oa)) * *(*float64)(unsafe.Add(pb, ob))
+				oa += strideA
+				ob += strideB
+			}
+			drow[j] += s
+		}
+	}
+}
+
+// addMulTransARef is the reference dst += aᵀ×b: per output element, the
+// ascending-k sum of a[k][i]·b[k][j] over the k whose a-element is
+// non-zero, added to dst once.
+func addMulTransARef(dst, a, b *Matrix) {
+	m, n := a.Cols, b.Cols
+	for i := 0; i < m; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		for j := range drow {
+			var s float64
+			for k := 0; k < a.Rows; k++ {
+				av := a.Data[k*m+i]
+				if av == 0 {
+					continue
+				}
+				s += av * b.Data[k*n+j]
+			}
+			drow[j] += s
+		}
+	}
+}
+
+// allFinite reports whether no element of v is NaN or ±Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		// x−x is 0 for every finite x and NaN for NaN and ±Inf.
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MulTransB returns a×bᵀ without materializing the transpose.
 func MulTransB(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	MulTransBTo(out, a, b)
+	return out
+}
+
+// MulTransBTo computes dst = a×bᵀ, reusing dst's storage — the
+// input-gradient product of backpropagation. dst must be a.Rows×b.Rows and
+// must not alias a or b. Rows of a and b are both contiguous in k, so a
+// 4×2 register tile reads four a rows and two b rows in lockstep; every
+// output element is still one ascending-k sum starting from +0, exactly as
+// the one-dot-product-at-a-time loop computes it.
+func MulTransBTo(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: MulTransBTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+	kdim, n := a.Cols, b.Rows
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		a0 := a.Data[i*kdim : (i+1)*kdim]
+		a1 := a.Data[(i+1)*kdim : (i+2)*kdim]
+		a2 := a.Data[(i+2)*kdim : (i+3)*kdim]
+		a3 := a.Data[(i+3)*kdim : (i+4)*kdim]
+		d0 := dst.Data[i*n : (i+1)*n]
+		d1 := dst.Data[(i+1)*n : (i+2)*n]
+		d2 := dst.Data[(i+2)*n : (i+3)*n]
+		d3 := dst.Data[(i+3)*n : (i+4)*n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			b0 := b.Data[j*kdim : (j+1)*kdim]
+			b1 := b.Data[(j+1)*kdim : (j+2)*kdim]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for k := range kdim {
+				v0, v1, v2, v3 := a0[k], a1[k], a2[k], a3[k]
+				w0, w1 := b0[k], b1[k]
+				s00 += v0 * w0
+				s01 += v0 * w1
+				s10 += v1 * w0
+				s11 += v1 * w1
+				s20 += v2 * w0
+				s21 += v2 * w1
+				s30 += v3 * w0
+				s31 += v3 * w1
 			}
-			orow[j] = sum
+			d0[j], d0[j+1] = s00, s01
+			d1[j], d1[j+1] = s10, s11
+			d2[j], d2[j+1] = s20, s21
+			d3[j], d3[j+1] = s30, s31
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*kdim : (j+1)*kdim]
+			var s0, s1, s2, s3 float64
+			for k := range kdim {
+				w := brow[k]
+				s0 += a0[k] * w
+				s1 += a1[k] * w
+				s2 += a2[k] * w
+				s3 += a3[k] * w
+			}
+			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
 		}
 	}
-	return out
+	for ; i < a.Rows; i++ {
+		arow := a.Data[i*kdim : (i+1)*kdim]
+		drow := dst.Data[i*n : (i+1)*n]
+		for j := range drow {
+			brow := b.Data[j*kdim : (j+1)*kdim]
+			var s float64
+			for k, av := range arow {
+				s += av * brow[k]
+			}
+			drow[j] = s
+		}
+	}
 }
 
 // Transpose returns mᵀ as a new matrix.
@@ -462,13 +647,24 @@ func (m *Matrix) AddRowVector(v *Matrix) {
 // the reduction used for bias gradients.
 func (m *Matrix) SumRows() *Matrix {
 	out := New(1, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			out.Data[c] += v
-		}
-	}
+	AddSumRows(out, m)
 	return out
+}
+
+// AddSumRows sets dst += m.SumRows() without allocating the sum vector:
+// each column is summed top to bottom from +0 and added to dst once, so
+// the result is bit-identical to AddInPlace(dst, m.SumRows()).
+func AddSumRows(dst, m *Matrix) {
+	if dst.Rows != 1 || dst.Cols != m.Cols {
+		panic(fmt.Sprintf("mat: AddSumRows dst is %dx%d, want 1x%d", dst.Rows, dst.Cols, m.Cols))
+	}
+	for c := range dst.Data {
+		var s float64
+		for r := 0; r < m.Rows; r++ {
+			s += m.Data[r*m.Cols+c]
+		}
+		dst.Data[c] += s
+	}
 }
 
 // Sum returns the sum of all elements.

@@ -11,7 +11,12 @@
 // constructs any of the 23 architectures of Table I by number.
 //
 // A Network is not safe for concurrent use: layers cache forward-pass
-// activations for the following backward pass.
+// activations for the following backward pass, and Fit updates the
+// weights in place. Fit's own concurrency is internal: with
+// FitConfig.Parallelism ≥ 2 it runs fixed 8-row gradient chunks on
+// per-chunk replicas (shared weights, private gradient accumulators and
+// training arenas) across helper goroutines that live only for that call,
+// and the result does not depend on how many of them ran.
 package nn
 
 import (

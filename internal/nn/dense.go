@@ -76,11 +76,8 @@ func (d *Dense) params() []*mat.Matrix { return []*mat.Matrix{d.W, d.B} }
 func (d *Dense) grads() []*mat.Matrix  { return []*mat.Matrix{d.dW, d.dB} }
 
 func (d *Dense) forward(x *mat.Matrix) *mat.Matrix {
-	out := mat.Mul(x, d.W)
-	out.AddRowVector(d.B)
-	if d.Act != Linear {
-		out.ApplyInPlace(d.Act.Apply)
-	}
+	out := mat.New(x.Rows, d.Out)
+	d.forwardInto(out, x, 1)
 	d.lastIn, d.lastOut = x, out
 	return out
 }
@@ -141,16 +138,51 @@ func (d *Dense) forwardInto(dst, x *mat.Matrix, workers int) {
 }
 
 func (d *Dense) backward(dOut *mat.Matrix) *mat.Matrix {
-	dZ := dOut
+	var dz *mat.Matrix
 	if d.Act != Linear {
-		dZ = mat.New(dOut.Rows, dOut.Cols)
-		for i := range dOut.Data {
-			dZ.Data[i] = dOut.Data[i] * d.Act.DerivFromOutput(d.lastOut.Data[i])
+		dz = mat.New(dOut.Rows, dOut.Cols)
+	}
+	dX := mat.New(dOut.Rows, d.In)
+	d.backprop(dX, dz, dOut, d.lastIn, d.lastOut)
+	return dX
+}
+
+// backprop is the allocation-free backward pass for one layer whose
+// forward pass mapped in to out. It writes dLoss/dZ = dOut∘act′(out) into
+// dz (unused, and may be nil, for Linear layers, whose dZ is dOut itself),
+// adds inᵀ·dZ to dW and the column sums of dZ to dB, and — unless dX is
+// nil, as for a network's first layer — writes dLoss/dInput = dZ·Wᵀ into
+// dX. Every element is computed with the same operations in the same
+// order as the allocating Hadamard / MulTransA / SumRows / MulTransB
+// formulation, so gradients are bit-identical to it.
+func (d *Dense) backprop(dX, dz, dOut, in, out *mat.Matrix) {
+	switch d.Act {
+	case Linear:
+		dz = dOut
+	case ReLU:
+		o := out.Data[:len(dOut.Data)]
+		z := dz.Data[:len(dOut.Data)]
+		for i, g := range dOut.Data {
+			// Multiplying by a 1/0 mask, selected on integer bits so the
+			// compiler can emit a conditional move, keeps g·0 = −0 for
+			// negative g and NaN for infinite or NaN g, exactly as
+			// g·DerivFromOutput(y) does.
+			var mask uint64
+			if o[i] > 0 {
+				mask = 0x3ff0000000000000 // 1.0
+			}
+			z[i] = g * math.Float64frombits(mask)
+		}
+	default:
+		for i, g := range dOut.Data {
+			dz.Data[i] = g * d.Act.DerivFromOutput(out.Data[i])
 		}
 	}
-	mat.AddInPlace(d.dW, mat.MulTransA(d.lastIn, dZ))
-	mat.AddInPlace(d.dB, dZ.SumRows())
-	return mat.MulTransB(dZ, d.W)
+	mat.AddMulTransA(d.dW, in, dz)
+	mat.AddSumRows(d.dB, dz)
+	if dX != nil {
+		mat.MulTransBTo(dX, dz, d.W)
+	}
 }
 
 func sprintfLayer(units int, kind string, act Activation) string {

@@ -127,7 +127,8 @@ func (n *Network) GradsRef() []*mat.Matrix {
 	return gs
 }
 
-// ZeroGrads clears every gradient accumulator; called before each batch.
+// ZeroGrads clears every gradient accumulator, as needed before each
+// Forward/Backward pair when driving training by hand.
 func (n *Network) ZeroGrads() {
 	for _, g := range n.GradsRef() {
 		g.Zero()
@@ -193,12 +194,12 @@ type FitConfig struct {
 	Validation *Dataset
 	Patience   int
 	// Parallelism shards each minibatch's gradient accumulation across
-	// this many worker replicas. Values ≤ 1 train serially — bit-for-bit
-	// the single-goroutine path. Any value ≥ 2 produces one canonical
-	// result independent of the actual worker count: the batch is split
-	// into fixed-size chunks whose gradients reduce in chunk order (see
-	// gradChunkRows), so equal seeds replay identically on any machine
-	// with at least two workers configured.
+	// this many goroutines. Values ≤ 1 train serially over whole
+	// batches. Any value ≥ 2 produces one canonical result independent
+	// of the actual worker count: the batch is split into fixed-size
+	// chunks whose gradients reduce in chunk order (see gradChunkRows),
+	// so equal seeds replay identically on any machine with at least two
+	// workers configured.
 	Parallelism int
 	// Ctx, when non-nil, cancels training between epochs; Fit returns the
 	// loss so far together with ctx.Err().
@@ -229,14 +230,16 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 	params := n.Params()
 	grads := n.GradsRef()
 
-	// Worker replicas for parallel gradient accumulation: they alias the
-	// parameters but own their gradients and caches.
-	var workers []*Network
+	// All per-batch working memory lives in arenas sized once here, so
+	// steady-state epochs allocate nothing (recurrent heads excepted).
+	maxRows := min(cfg.BatchSize, len(idx))
+	var serial *trainArena
+	var pool *chunkPool
 	if cfg.Parallelism > 1 {
-		workers = make([]*Network, cfg.Parallelism)
-		for i := range workers {
-			workers[i] = n.cloneShared()
-		}
+		pool = newChunkPool(n, maxRows, cfg.Parallelism)
+		defer pool.close()
+	} else {
+		serial = newTrainArena(n, maxRows)
 	}
 
 	var lastLoss float64
@@ -260,15 +263,10 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 			}
 			batch := idx[start:end]
 			var loss float64
-			if workers != nil {
-				loss = n.fitBatchParallel(ds, batch, workers, grads)
+			if pool != nil {
+				loss = pool.fitBatch(ds, batch, grads)
 			} else {
-				flat, seq, y := n.assembleBatch(ds, batch)
-				pred := n.Forward(flat, seq)
-				var dOut *mat.Matrix
-				loss, dOut = MSELoss(pred, y)
-				n.ZeroGrads()
-				n.Backward(dOut)
+				loss = serial.fitBatch(ds, batch)
 			}
 			epochLoss += loss
 			batches++
@@ -308,6 +306,7 @@ func (n *Network) ValidationLoss(ds *Dataset) float64 {
 	const chunk = 256
 	var total float64
 	var count int
+	var s Scratch
 	for start := 0; start < len(idx); start += chunk {
 		end := start + chunk
 		if end > len(idx) {
@@ -315,7 +314,7 @@ func (n *Network) ValidationLoss(ds *Dataset) float64 {
 		}
 		batch := idx[start:end]
 		flat, seq, y := n.assembleBatch(ds, batch)
-		pred := n.Forward(flat, seq)
+		pred := n.ForwardBatch(flat, seq, &s)
 		loss, _ := MSELoss(pred, y)
 		total += loss * float64(len(batch))
 		count += len(batch)
@@ -384,13 +383,14 @@ func (n *Network) Predict(ds *Dataset) ([]float64, []int) {
 	}
 	const chunk = 256
 	out := make([]float64, 0, len(idx))
+	var s Scratch
 	for start := 0; start < len(idx); start += chunk {
 		end := start + chunk
 		if end > len(idx) {
 			end = len(idx)
 		}
 		flat, seq, _ := n.assembleBatch(ds, idx[start:end])
-		pred := n.Forward(flat, seq)
+		pred := n.ForwardBatch(flat, seq, &s)
 		for r := 0; r < pred.Rows; r++ {
 			out = append(out, pred.At(r, 0))
 		}
@@ -421,17 +421,7 @@ func (n *Network) PredictOne(features [][]float64) float64 {
 // MSELoss returns the mean-squared-error loss between pred and target
 // (both B×1) and the gradient dLoss/dPred.
 func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic(fmt.Sprintf("nn: MSELoss shape mismatch %dx%d vs %dx%d",
-			pred.Rows, pred.Cols, target.Rows, target.Cols))
-	}
-	nElem := float64(len(pred.Data))
 	grad := mat.New(pred.Rows, pred.Cols)
-	var loss float64
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / nElem
-	}
-	return loss / nElem, grad
+	sse := lossGrad(grad, pred, target, len(pred.Data))
+	return sse / float64(len(pred.Data)), grad
 }

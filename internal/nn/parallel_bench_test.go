@@ -46,8 +46,9 @@ func BenchmarkForwardBatch64(b *testing.B)      { benchmarkForwardBatch(b, 64, 1
 func BenchmarkForwardBatch256(b *testing.B)     { benchmarkForwardBatch(b, 256, 1) }
 func BenchmarkForwardBatch256x4(b *testing.B)   { benchmarkForwardBatch(b, 256, 4) }
 
-func benchmarkFit(b *testing.B, par int) {
-	ds := testDataset(rand.New(rand.NewSource(8)), 2000, 6)
+func benchmarkFit(b *testing.B, samples, epochs, par int) {
+	ds := testDataset(rand.New(rand.NewSource(8)), samples, 6)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -57,9 +58,10 @@ func benchmarkFit(b *testing.B, par int) {
 		}
 		b.StartTimer()
 		if _, err := net.Fit(ds, FitConfig{
-			Epochs:      4,
+			Epochs:      epochs,
 			BatchSize:   32,
 			Optimizer:   &SGD{LR: 0.05},
+			Rng:         rand.New(rand.NewSource(2)),
 			Parallelism: par,
 		}); err != nil {
 			b.Fatal(err)
@@ -67,5 +69,9 @@ func benchmarkFit(b *testing.B, par int) {
 	}
 }
 
-func BenchmarkFitSerial(b *testing.B)    { benchmarkFit(b, 1) }
-func BenchmarkFitParallel4(b *testing.B) { benchmarkFit(b, 4) }
+func BenchmarkFitSerial(b *testing.B)    { benchmarkFit(b, 2000, 4, 1) }
+func BenchmarkFitParallel4(b *testing.B) { benchmarkFit(b, 2000, 4, 4) }
+
+// BenchmarkFitBelle is one belle-paper retrain: model 1 on 3600 samples,
+// 40 epochs of batch 32, at the closed-loop benchmark's Parallelism 2.
+func BenchmarkFitBelle(b *testing.B) { benchmarkFit(b, 3600, 40, 2) }
