@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,10 +60,11 @@ func runLFU() (float64, error) {
 	var tpSum float64
 	var tpN int64
 	lfu := policy.LFU{}
+	ctx := context.Background()
 
 	fmt.Println("LFU base case:")
 	for r := 0; r < runs; r++ {
-		stats, err := runner.RunOnce(func(res storagesim.AccessResult, wl, run int) {
+		stats, err := runner.RunOnceContext(ctx, func(res storagesim.AccessResult, wl, run int) {
 			lastAccess[res.FileID] = res.End
 			accessCount[res.FileID]++
 			tpSum += res.Throughput
@@ -101,7 +103,11 @@ func runLFU() (float64, error) {
 				LastAccess: lastAccess[f.ID], Accesses: accessCount[f.ID],
 			})
 		}
-		if proposal := lfu.Layout(st); proposal != nil {
+		proposal, err := lfu.Propose(ctx, st)
+		if err != nil {
+			return 0, err
+		}
+		if proposal != nil {
 			if _, err := runner.ApplyLayout(proposal); err != nil {
 				return 0, err
 			}

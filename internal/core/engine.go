@@ -767,7 +767,8 @@ func (e *Engine) candidateRow(ff fileFeatures, fileID int64, devIdx int) []float
 
 // predictCandidate returns the adjusted predicted throughput (bytes/s) of
 // accessing file f when placed on device. For recurrent models the
-// candidate row is appended to the file's recent history window.
+// candidate row is appended to the file's recent history window. It is
+// the per-pair reference the batched decision path is tested against.
 func (e *Engine) predictCandidate(f FileMeta, device string) float64 {
 	recurrent := e.net.IsRecurrent()
 	// Candidate feature row: the file's typical access at this location,
@@ -888,42 +889,6 @@ func (e *Engine) forwardRows(flat *mat.Matrix, seq []*mat.Matrix, total int) *ma
 	return out
 }
 
-// candidateScores evaluates every (file, device) pairing in one batched
-// inference: feature assembly fans out over the worker pool (one ReplayDB
-// fetch per file instead of one per pairing), all len(files)×len(devices)
-// candidate rows go through a single ForwardBatch call, and the
-// denormalized, MAE-adjusted predictions come back as scores[i][j] for
-// files[i] on e.devices[j]. Every score is bit-identical to what
-// predictCandidate computes for the same pairing: batching and row-sharded
-// GEMMs do not change any output row's arithmetic order.
-func (e *Engine) candidateScores(ctx context.Context, files []FileMeta) ([][]float64, error) {
-	nDev := len(e.devices)
-	total := len(files) * nDev
-	if total == 0 {
-		return nil, nil
-	}
-	flat, seq, err := e.assembleTasks(ctx, files, exhaustiveTasks(len(files), nDev), total)
-	if err != nil {
-		return nil, err
-	}
-	out := e.forwardRows(flat, seq, total)
-
-	// Denormalize and MAE-adjust every prediction.
-	scores := make([][]float64, len(files))
-	err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-		s := make([]float64, nDev)
-		for j := 0; j < nDev; j++ {
-			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(i*nDev+j, 0))))
-			s[j] = nn.AdjustPrediction(raw, e.valMetrics)
-		}
-		scores[i] = s
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores, nil
-}
-
 // ProposeLayout predicts the throughput of every file at every candidate
 // location (including not moving it) and returns the layout assigning each
 // file to its best predicted location. With probability Epsilon a file is
@@ -935,27 +900,23 @@ func (e *Engine) ProposeLayout(files []FileMeta, checker *agents.ActionChecker, 
 }
 
 // scored is one file's prepared decision material: the decision shell
-// with its predictions, the candidate set the greedy rule maximizes over,
-// its validity-filtered form, and the full-width candidate list used for
-// exploration shuffles. On the exhaustive path cands spans every device;
-// on the pruned path it spans only the current-generation scored subset —
-// but explore always spans every device, so both paths consume identical
-// randomness and a fixed seed replays identically across modes.
+// with its predictions (every device scored under the current model
+// generation) and the validity-filtered candidates the greedy rule
+// maximizes over.
 type scored struct {
 	d       Decision
-	cands   []agents.Candidate
 	passing []agents.Candidate
-	explore []agents.Candidate
 }
 
 // ProposeLayoutContext is ProposeLayout with cancellation: ctx is checked
 // between candidate-scoring batches. The decision runs through the
-// three-stage pipeline in propose.go — prepare (mode selection and row
-// assembly, exhaustive or pruned when Config.TopK > 0), one batched
-// forward pass, finish (denormalization, cache writeback, selection). The
-// per-file validity filters fan out over the worker pool; only the
-// ε-greedy selection — the part that draws from e.rng — runs serially in
-// file order, so a fixed seed replays identically at any Parallelism.
+// three-stage pipeline in propose.go — prepare (cache invalidation, task
+// list and row assembly; exhaustive unless Config.TopK > 0 prunes), one
+// batched forward pass, finish (denormalization, cache writeback,
+// selection). The per-file validity filters fan out over the worker pool;
+// only the ε-greedy selection — the part that draws from e.rng — runs
+// serially in file order, so a fixed seed replays identically at any
+// Parallelism.
 func (e *Engine) ProposeLayoutContext(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (map[int64]string, []Decision, error) {
 	pd, err := e.prepareProposal(ctx, files, checker, valid)
 	if err != nil {
@@ -978,22 +939,16 @@ func (e *Engine) selectLayout(files []FileMeta, pre []scored, checker *agents.Ac
 		d := pre[i].d
 		if e.rng.Float64() < e.cfg.Epsilon {
 			// Exploration: random movement, still subject to validation.
-			// The shuffle always spans the full device width — the choice
-			// only depends on which devices validate, never on scores, so
-			// pruned and exhaustive modes explore identically.
+			// The shuffle always spans the full device width, built only
+			// for the files that actually explore. The choice depends only
+			// on which devices validate, never on scores (Predicted stays
+			// zero), so a pruned and an exhaustive decision explore
+			// identically.
 			d.Random = true
-			exp := pre[i].explore
-			if exp == nil {
-				// Pruned path: widen to the full device list on demand,
-				// only for the files that actually explore. Predicted is
-				// irrelevant — the choice is the first device to validate.
-				exp = make([]agents.Candidate, len(e.devices))
-				for j, dev := range e.devices {
-					exp[j] = agents.Candidate{Device: dev}
-				}
+			shuffled := make([]agents.Candidate, len(e.devices))
+			for j, dev := range e.devices {
+				shuffled[j] = agents.Candidate{Device: dev}
 			}
-			shuffled := make([]agents.Candidate, len(exp))
-			copy(shuffled, exp)
 			e.rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 			passing := checker.Filter(shuffled, f.Size, valid)
 			if len(passing) > 0 {

@@ -43,7 +43,7 @@ type LayoutPusher interface {
 // surface the decide-and-move cycle needs. *workload.Runner and every
 // scenario in internal/scenario satisfy it; the full scenario-plane
 // contract (naming, checkpoint marshaling) lives in scenario.Workload,
-// which embeds the same methods.
+// which embeds this interface.
 type Workload interface {
 	// Files returns the working set the engine lays out.
 	Files() []trace.BelleFile

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"geomancy/internal/replaydb"
@@ -50,32 +51,64 @@ func trainedEngine(t *testing.T, mutate func(*Config)) *Engine {
 	return e
 }
 
-// The batched candidateScores must reproduce the legacy per-pair
-// predictCandidate exactly — the regression anchor for the batched engine.
+// matchPredictCandidate checks that an exhaustive (TopK = 0) decision's
+// predictions cover every device and equal the per-pair predictCandidate
+// reference bit for bit — the regression anchor for the batched path.
+func matchPredictCandidate(t *testing.T, e *Engine, files []FileMeta) {
+	t.Helper()
+	_, decs, err := e.ProposeLayoutContext(context.Background(), files, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range files {
+		preds := decs[i].Predictions
+		if len(preds) != len(e.devices) {
+			t.Fatalf("file %d: %d predictions, want %d", f.ID, len(preds), len(e.devices))
+		}
+		for _, dev := range e.devices {
+			if got, want := preds[dev], e.predictCandidate(f, dev); got != want {
+				t.Errorf("model %d: file %d on %s: batched %v != per-pair %v",
+					e.cfg.ModelNumber, f.ID, dev, got, want)
+			}
+		}
+	}
+}
+
+// Every prediction of the batched decision path must reproduce the
+// per-pair predictCandidate exactly.
 func TestCandidateScoresMatchLegacyPredict(t *testing.T) {
 	for _, model := range []int{1, 18} { // dense and recurrent
 		e := trainedEngine(t, func(c *Config) {
 			c.ModelNumber = model
 			c.SeqWindow = 4
 		})
-		files := []FileMeta{
+		matchPredictCandidate(t, e, []FileMeta{
 			{ID: 1, Size: 1e8, Device: "pic"},   // deep history in seedDB
 			{ID: 3, Size: 2e8, Device: "var"},   // other history
 			{ID: 999, Size: 5e7, Device: "tmp"}, // never accessed
-		}
-		scores, err := e.candidateScores(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range files {
-			for j, dev := range e.devices {
-				want := e.predictCandidate(f, dev)
-				if scores[i][j] != want {
-					t.Errorf("model %d: file %d on %s: batched %v != legacy %v",
-						model, f.ID, dev, scores[i][j], want)
-				}
-			}
-		}
+		})
+	}
+}
+
+// A file listed twice in one decision shares one cache entry: it gets one
+// scoring task (two tasks writing one entry would race under the worker
+// pool), and both listings decide from the same predictions.
+func TestCandidateDuplicateFileIDs(t *testing.T) {
+	e := trainedEngine(t, func(c *Config) { c.Parallelism = 2 })
+	files := []FileMeta{{ID: 1, Size: 1e8, Device: "pic"}, {ID: 1, Size: 1e8, Device: "pic"}}
+	pd, err := e.prepareProposal(context.Background(), files, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pd.tasks) != 1 || pd.rows() != len(testDevices) {
+		t.Fatalf("%d tasks, %d rows; want 1 task of %d rows", len(pd.tasks), pd.rows(), len(testDevices))
+	}
+	_, decs, err := pd.finish(context.Background(), e.forwardRows(pd.flat, pd.seq, pd.total), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decs[0].Predictions, decs[1].Predictions) {
+		t.Fatalf("listings decided from different predictions: %v vs %v", decs[0].Predictions, decs[1].Predictions)
 	}
 }
 

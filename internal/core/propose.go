@@ -9,23 +9,26 @@ import (
 	"geomancy/internal/nn"
 )
 
-// The decision pipeline is split into three stages so a sharded
-// coordinator can interleave many engines' decisions around ONE batched
-// inference per cycle (ROADMAP item 2's amortized inference):
+// Every decision — exhaustive or pruned, single-engine or sharded — runs
+// one pipeline, split into three stages so a sharded coordinator can
+// interleave many engines' decisions around ONE batched inference per
+// cycle (ROADMAP item 2's amortized inference):
 //
 //	prepare — dirty tracking, shortlist/task construction, and candidate
 //	          row assembly into the engine's input buffer. Draws no
 //	          randomness and runs no GEMM, so shards prepare concurrently.
-//	forward — one nn.ForwardBatch over the assembled rows. The legacy
-//	          single-engine path forwards its own rows; the coordinator
-//	          concatenates every shard's rows and forwards once.
+//	forward — one nn.ForwardBatch over the assembled rows. A single
+//	          engine (ProposeLayoutContext) forwards its own rows; the
+//	          coordinator concatenates every shard's rows and forwards
+//	          once.
 //	finish  — denormalization, cache writeback, and the serial ε-greedy
 //	          selection (the only stage that draws from e.rng).
 //
-// ProposeLayoutContext composes the three stages over one engine and is
-// bit-identical to the pre-split implementation: the same rows are
-// assembled in the same order, forwarded through the same network, and
-// selected with the same RNG stream.
+// An exhaustive decision is the degenerate pruned one (see prune.go):
+// every cache entry invalidated, every device shortlisted. Every score is
+// bit-identical to what predictCandidate computes for the same pairing:
+// batching and row-sharded GEMMs do not change any output row's
+// arithmetic order.
 
 // pendingDecision is a prepared-but-not-yet-scored decision: the task
 // list mapping batch rows to (file, device) pairings, plus the assembled
@@ -37,9 +40,8 @@ type pendingDecision struct {
 	checker *agents.ActionChecker
 	valid   agents.Validator
 
-	// pruned marks the shortlist path; entries holds each file's cache
-	// entry (pruned only), tasks the rows to score, total the row count.
-	pruned  bool
+	// entries holds each file's cache entry, tasks the rows to score,
+	// total the row count.
 	entries []*fileCache
 	tasks   []scoreTask
 	total   int
@@ -50,25 +52,13 @@ type pendingDecision struct {
 	seq  []*mat.Matrix
 }
 
-// exhaustiveTasks builds the full-grid task list: every file against
-// every device, rows laid out file-major exactly like candidateScores.
-func exhaustiveTasks(nFiles, nDev int) []scoreTask {
-	all := make([]int, nDev)
-	for j := range all {
-		all[j] = j
-	}
-	tasks := make([]scoreTask, nFiles)
-	for i := range tasks {
-		tasks[i] = scoreTask{file: i, devs: all, base: i * nDev}
-	}
-	return tasks
-}
-
 // prepareProposal runs the decision pipeline up to (but excluding) the
-// batched inference: mode selection, dirty-set maintenance, task-list
-// construction, and candidate-row assembly. It advances the decision
-// counter and watermark, so every prepare must be followed by exactly one
-// finish.
+// batched inference: dirty-set maintenance, task-list construction, and
+// candidate-row assembly. An exhaustive decision (TopK == 0, the first
+// decision, every FullRescanEvery-th one) is the degenerate pruned one:
+// every cache entry is invalidated and every device shortlisted. It
+// advances the decision counter and watermark, so every prepare must be
+// followed by exactly one finish.
 func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker *agents.ActionChecker, valid agents.Validator) (*pendingDecision, error) {
 	if !e.trained {
 		return nil, ErrNotTrained
@@ -76,33 +66,47 @@ func (e *Engine) prepareProposal(ctx context.Context, files []FileMeta, checker 
 	if checker == nil {
 		checker = agents.NewActionChecker(e.rng, e.devices)
 	}
-	pruned := e.cfg.TopK > 0 && !e.fullRescanDue()
+	exhaustive := e.cfg.TopK == 0 || e.fullRescanDue()
 	e.decisionCount++
 
-	pd := &pendingDecision{eng: e, files: files, checker: checker, valid: valid, pruned: pruned}
-	if pruned {
-		// Dirty set: drop caches of files whose telemetry moved past the
-		// last scoring watermark. Without a ChangeTracker nothing can be
-		// trusted across decisions; the shortlist still prunes the device
-		// axis.
-		if e.tracker != nil {
-			for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
-				if ent, ok := e.cache[id]; ok {
-					ent.invalidate()
-				}
-			}
-			e.lastWatermark = e.tracker.Watermark()
-		} else {
-			for _, ent := range e.cache {
+	// Dirty set: drop caches of files whose telemetry moved past the last
+	// scoring watermark. Without a ChangeTracker nothing can be trusted
+	// across decisions; the shortlist still prunes the device axis.
+	switch {
+	case exhaustive:
+		// Rebuilt from this file list, so entries of files that left the
+		// working set drop out: full rescans bound both pruning error and
+		// cache growth.
+		next := make(map[int64]*fileCache, len(files))
+		for _, f := range files {
+			ent := e.ensureCache(f)
+			ent.invalidate()
+			next[f.ID] = ent
+		}
+		e.cache = next
+	case e.tracker != nil:
+		for _, id := range e.tracker.FilesChangedSince(e.lastWatermark) {
+			if ent, ok := e.cache[id]; ok {
 				ent.invalidate()
 			}
 		}
-		short := e.deviceShortlist()
-		pd.entries, pd.tasks, pd.total = e.pruneTasks(files, short)
-	} else {
-		pd.total = len(files) * len(e.devices)
-		pd.tasks = exhaustiveTasks(len(files), len(e.devices))
+	default:
+		for _, ent := range e.cache {
+			ent.invalidate()
+		}
 	}
+	if e.tracker != nil {
+		e.lastWatermark = e.tracker.Watermark()
+	}
+	var short []int
+	if exhaustive {
+		short = e.allDevices()
+	} else {
+		short = e.deviceShortlist()
+	}
+
+	pd := &pendingDecision{eng: e, files: files, checker: checker, valid: valid}
+	pd.entries, pd.tasks, pd.total = e.pruneTasks(files, short)
 	if pd.total > 0 {
 		var err error
 		pd.flat, pd.seq, err = e.assembleTasks(ctx, files, pd.tasks, pd.total)
@@ -128,58 +132,17 @@ func (pd *pendingDecision) fillInto(dst *mat.Matrix, base int) {
 }
 
 // finish consumes the inference output rows [base, base+total) of out and
-// completes the decision: denormalization, cache writeback (pruned) or
-// full-cache refresh (exhaustive with TopK), candidate filtering, and the
-// serial ε-greedy selection. out may be nil when rows() was 0.
+// completes the decision: denormalization, cache writeback under the
+// current model generation, candidate filtering, and the serial ε-greedy
+// selection. out may be nil when rows() was 0.
 func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int) (map[int64]string, []Decision, error) {
 	e := pd.eng
 	files := pd.files
-	denorm := func(r int) float64 {
-		raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+r, 0))))
-		return nn.AdjustPrediction(raw, e.valMetrics)
-	}
-
-	if !pd.pruned {
-		nDev := len(e.devices)
-		scores := make([][]float64, len(files))
-		err := parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-			s := make([]float64, nDev)
-			for j := 0; j < nDev; j++ {
-				s[j] = denorm(i*nDev + j)
-			}
-			scores[i] = s
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if e.cfg.TopK > 0 {
-			e.refreshCacheFull(files, scores)
-		}
-		pre := make([]scored, len(files))
-		err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
-			f := files[i]
-			d := Decision{FileID: f.ID, Current: f.Device, Predictions: make(map[string]float64, len(e.devices))}
-			cands := make([]agents.Candidate, 0, len(e.devices))
-			for j, dev := range e.devices {
-				p := scores[i][j]
-				d.Predictions[dev] = p
-				// Candidate scores are maximize-me: latency negates.
-				cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
-			}
-			pre[i] = scored{d: d, cands: cands, passing: pd.checker.Filter(cands, f.Size, pd.valid), explore: cands}
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.selectLayout(files, pre, pd.checker, pd.valid)
-	}
-
-	// Pruned path: write the fresh scores back into the caches under the
-	// current generation, then decide from every current-generation score.
 	err := parallelFor(ctx, len(pd.tasks), e.cfg.Parallelism, func(ti int) {
 		t := pd.tasks[ti]
 		for k, j := range t.devs {
-			t.ent.scores[j] = denorm(t.base + k)
+			raw := DecodeTarget(e.targetScaler.Inverse(clamp01(out.At(base+t.base+k, 0))))
+			t.ent.scores[j] = nn.AdjustPrediction(raw, e.valMetrics)
 			t.ent.gens[j] = e.modelGen
 		}
 	})
@@ -188,10 +151,9 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 	}
 
 	// Prepared decision material: candidates are every device scored
-	// under the current generation — the full width for clean files still
-	// carrying an exhaustive pass, the shortlist for freshly scored ones.
-	// explore stays nil; selectLayout widens it to the full device list
-	// only for the ε fraction of files that actually explore.
+	// under the current generation — the full width after an exhaustive
+	// pass and for clean files still carrying one, the shortlist for
+	// freshly scored ones.
 	pre := make([]scored, len(files))
 	err = parallelFor(ctx, len(files), e.cfg.Parallelism, func(i int) {
 		f := files[i]
@@ -204,9 +166,10 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 			}
 			p := ent.scores[j]
 			d.Predictions[dev] = p
+			// Candidate scores are maximize-me: latency negates.
 			cands = append(cands, agents.Candidate{Device: dev, Predicted: e.betterScore(p)})
 		}
-		pre[i] = scored{d: d, cands: cands, passing: pd.checker.Filter(cands, f.Size, pd.valid)}
+		pre[i] = scored{d: d, passing: pd.checker.Filter(cands, f.Size, pd.valid)}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -214,15 +177,20 @@ func (pd *pendingDecision) finish(ctx context.Context, out *mat.Matrix, base int
 	return e.selectLayout(files, pre, pd.checker, pd.valid)
 }
 
-// pruneTasks builds the pruned work list: per file, the shortlist ∪
+// pruneTasks builds the decision's work list: per file, the shortlist ∪
 // {current device} entries not yet scored under the current model
-// generation.
+// generation. A file listed twice shares one cache entry and gets one
+// task, so no two tasks write the same entry.
 func (e *Engine) pruneTasks(files []FileMeta, short []int) (entries []*fileCache, tasks []scoreTask, total int) {
 	entries = make([]*fileCache, len(files))
 	tasks = make([]scoreTask, 0, len(files))
 	for i, f := range files {
 		ent := e.ensureCache(f)
 		entries[i] = ent
+		if ent.sched == e.decisionCount {
+			continue
+		}
+		ent.sched = e.decisionCount
 		var need []int
 		cur, curOK := e.devIndex[f.Device]
 		curListed := false
@@ -231,6 +199,9 @@ func (e *Engine) pruneTasks(files []FileMeta, short []int) (entries []*fileCache
 				curListed = true
 			}
 			if ent.gens[j] != e.modelGen {
+				if need == nil {
+					need = make([]int, 0, len(short)+1) // room for the current device
+				}
 				need = append(need, j)
 			}
 		}
@@ -249,11 +220,9 @@ func (e *Engine) pruneTasks(files []FileMeta, short []int) (entries []*fileCache
 }
 
 // assembleTasks builds the candidate feature rows for every task into the
-// engine's reusable input buffers. A task with a cache entry reuses (and
-// fills) the entry's raw feature ingredients; a task without one (the
-// exhaustive grid) fetches them directly. Nothing here consumes e.rng,
-// and tasks touch disjoint rows and cache entries, so the fan-out is
-// race-free.
+// engine's reusable input buffers, reusing (and filling) each task's cache
+// entry's raw feature ingredients. Nothing here consumes e.rng, and tasks
+// touch disjoint rows and cache entries, so the fan-out is race-free.
 func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []scoreTask, total int) (*mat.Matrix, []*mat.Matrix, error) {
 	cols := e.net.InSize
 	recurrent := e.net.IsRecurrent()
@@ -271,16 +240,11 @@ func (e *Engine) assembleTasks(ctx context.Context, files []FileMeta, tasks []sc
 		f := files[t.file]
 		// Candidate feature row ingredients: the file's typical access,
 		// stamped at the most recent known time.
-		var ff fileFeatures
-		if t.ent != nil {
-			if !t.ent.featValid {
-				t.ent.feat = e.gatherFileFeatures(f, recurrent)
-				t.ent.featValid = true
-			}
-			ff = t.ent.feat
-		} else {
-			ff = e.gatherFileFeatures(f, recurrent)
+		if !t.ent.featValid {
+			t.ent.feat = e.gatherFileFeatures(f, recurrent)
+			t.ent.featValid = true
 		}
+		ff := t.ent.feat
 		// History rows (normalized) are shared by every device pairing of
 		// this file; only the candidate row itself differs per device.
 		var hist [][]float64

@@ -7,11 +7,11 @@ import (
 )
 
 // Candidate pruning (Config.TopK > 0) makes the scoring hot path sublinear
-// in the candidate space. The exhaustive pass builds and scores all
-// files×devices rows on every decision; at warehouse scale (ROADMAP item
-// 2) almost all of that work re-derives scores that cannot have changed.
-// The pruned path keeps a per-file cache of candidate scores tagged with
-// the model generation that produced them, and per decision scores only:
+// in the candidate space. An exhaustive pass builds and scores all
+// files×devices rows; at warehouse scale (ROADMAP item 2) almost all of
+// that work re-derives scores that cannot have changed. Every engine keeps
+// a per-file cache of candidate scores tagged with the model generation
+// that produced them, and a pruned decision scores only:
 //
 //   - files whose telemetry changed since the last pass — the dirty set,
 //     answered by the ReplayDB's append watermark (ChangeTracker) instead
@@ -23,16 +23,19 @@ import (
 //     retrain or incremental update bumps the generation, so fresh weights
 //     never reuse stale scores.
 //
-// Exactness contract: the first decision and every FullRescanEvery-th one
-// run the exhaustive pass, so pruning error cannot accumulate past one
-// cadence window. Between rescans, a clean file whose cache still carries
-// the full device width at the current generation decides over exactly
-// the exhaustive candidate set, bit-identically (batching never changes a
-// row's arithmetic); dirty or newly generated files decide over the
-// shortlist ∪ {current device}. Exploration draws are aligned by
-// construction (see scored.explore), so a pruned run and an exhaustive
-// run of the same seed consume identical randomness, and agree on the
-// chosen layout whenever the shortlist covers the argmax device.
+// Exactness contract: an exhaustive pass is a pruned pass with every cache
+// entry invalidated and an all-device shortlist, so both run one code path
+// (prepareProposal → pruneTasks → finish). Every decision with TopK == 0,
+// the first decision, and every FullRescanEvery-th one is exhaustive, so
+// pruning error cannot accumulate past one cadence window. Between
+// rescans, a clean file whose cache still carries the full device width at
+// the current generation decides over exactly the exhaustive candidate
+// set, bit-identically (batching never changes a row's arithmetic); dirty
+// or newly generated files decide over the shortlist ∪ {current device}.
+// Exploration shuffles always span the full device list in profile order
+// (see selectLayout), so a pruned run and an exhaustive run of the same
+// seed consume identical randomness, and agree on the chosen layout
+// whenever the shortlist covers the argmax device.
 
 // ChangeTracker is the optional dirty-tracking view of a TelemetryStore.
 // The local *replaydb.DB implements it; a store that does not (e.g. a
@@ -68,6 +71,7 @@ type fileCache struct {
 	feat      fileFeatures //geomancy:ephemeral raw feature ingredients, recomputed from telemetry after restore
 	scores    []float64
 	gens      []uint64
+	sched     uint64 //geomancy:ephemeral number of the decision that last gave the entry a scoring task, meaningless across decisions
 }
 
 // invalidate drops everything derived from the file's telemetry.
@@ -96,8 +100,8 @@ func (e *Engine) ensureCache(f FileMeta) *fileCache {
 	return ent
 }
 
-// fullRescanDue reports whether the next decision must run the exhaustive
-// pass: always the first, then every FullRescanEvery-th.
+// fullRescanDue reports whether the next pruned-mode decision must run the
+// exhaustive pass: always the first, then every FullRescanEvery-th.
 func (e *Engine) fullRescanDue() bool {
 	if e.decisionCount == 0 {
 		return true
@@ -105,24 +109,14 @@ func (e *Engine) fullRescanDue() bool {
 	return e.cfg.FullRescanEvery > 0 && e.decisionCount%uint64(e.cfg.FullRescanEvery) == 0
 }
 
-// refreshCacheFull records an exhaustive pass's full-width scores and
-// advances the dirty watermark. The cache is rebuilt from this file list,
-// so entries for files that left the working set are dropped here —
-// full rescans bound both pruning error and cache growth.
-func (e *Engine) refreshCacheFull(files []FileMeta, scores [][]float64) {
-	next := make(map[int64]*fileCache, len(files))
-	for i, f := range files {
-		ent := e.ensureCache(f)
-		copy(ent.scores, scores[i])
-		for j := range ent.gens {
-			ent.gens[j] = e.modelGen
-		}
-		next[f.ID] = ent
+// allDevices returns every device index in ascending order: the
+// shortlist of an exhaustive pass.
+func (e *Engine) allDevices() []int {
+	out := make([]int, len(e.devices))
+	for i := range out {
+		out[i] = i
 	}
-	e.cache = next
-	if e.tracker != nil {
-		e.lastWatermark = e.tracker.Watermark()
-	}
+	return out
 }
 
 // deviceShortlist returns the sorted device indices a pruned decision
@@ -140,11 +134,7 @@ func (e *Engine) refreshCacheFull(files []FileMeta, scores [][]float64) {
 // Without a summary source every device is shortlisted.
 func (e *Engine) deviceShortlist() []int {
 	if e.summarySource == nil {
-		out := make([]int, len(e.devices))
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return e.allDevices()
 	}
 	type ranked struct {
 		idx int
@@ -192,10 +182,10 @@ func (e *Engine) deviceShortlist() []int {
 }
 
 // scoreTask is one file's pending inference work: the device indices to
-// score (ascending) and where its rows start in the batch. The pruned
-// decision body itself lives in propose.go (prepareProposal builds the
-// task list via pruneTasks; pendingDecision.finish writes scores back),
-// shared with the exhaustive path and the sharded coordinator.
+// score (ascending) and where its rows start in the batch. The decision
+// body itself lives in propose.go (prepareProposal builds the task list
+// via pruneTasks; pendingDecision.finish writes scores back), shared with
+// the sharded coordinator.
 type scoreTask struct {
 	file int
 	ent  *fileCache

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -91,21 +92,12 @@ func TestColdFileSymmetricPrior(t *testing.T) {
 	if ff.rb != 250 || ff.wb != 250 || ff.ts != 0 {
 		t.Fatalf("cold prior = %+v, want rb=wb=250 ts=0", ff)
 	}
-	// The prior reaches the batched path and the single-candidate path
-	// identically (the bit-identity invariant of candidateScores).
+	// The prior reaches the batched decision path and the per-pair
+	// reference identically.
 	if _, err := e.Train(); err != nil {
 		t.Fatal(err)
 	}
-	cold := []FileMeta{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}}
-	scores, err := e.candidateScores(t.Context(), cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, dev := range testDevices {
-		if got := e.predictCandidate(cold[0], dev); got != scores[0][j] {
-			t.Fatalf("cold file on %s: predictCandidate %v != batched %v", dev, got, scores[0][j])
-		}
-	}
+	matchPredictCandidate(t, e, []FileMeta{{ID: 999, Path: "/new", Size: 5e8, Device: "pic"}})
 }
 
 // TestPrunedMatchesExhaustive is the layout-agreement contract at engine
@@ -394,63 +386,132 @@ func TestShortlistSeedsNominalDevices(t *testing.T) {
 	}
 }
 
-// TestPrunedStateRoundTrip checks bit-identical resume mid-pruned-stream:
-// a restored engine continues the decision sequence exactly where the
-// original would have, caches and cadence included.
+// TestPrunedStateRoundTrip checks bit-identical resume mid-stream: a
+// restored engine continues the decision sequence exactly where the
+// original would have, caches and cadence included. TopK = 0 engines
+// carry the score cache too, so the exhaustive stream is covered as well.
 func TestPrunedStateRoundTrip(t *testing.T) {
-	db := seedDB(t, 1200)
-	cfg := quickCfg()
-	cfg.Epsilon = 0.3
-	cfg.TopK = 2
-	cfg.FullRescanEvery = 4
-	mk := func() *Engine {
-		e, err := NewEngine(db, testDevices, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
-		return e
-	}
-	a := mk()
-	if _, err := a.Train(); err != nil {
-		t.Fatal(err)
-	}
-	files := testFiles()
-	for i := 0; i < 3; i++ {
-		if _, _, err := a.ProposeLayout(files, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := a.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, topK := range []int{0, 2} {
+		t.Run(fmt.Sprintf("topk=%d", topK), func(t *testing.T) {
+			db := seedDB(t, 1200)
+			cfg := quickCfg()
+			cfg.Epsilon = 0.3
+			cfg.TopK = topK
+			cfg.FullRescanEvery = 4
+			mk := func() *Engine {
+				e, err := NewEngine(db, testDevices, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
+				return e
+			}
+			a := mk()
+			if _, err := a.Train(); err != nil {
+				t.Fatal(err)
+			}
+			files := testFiles()
+			for i := 0; i < 3; i++ {
+				if _, _, err := a.ProposeLayout(files, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := a.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.ScoreCache) != len(files) {
+				t.Fatalf("snapshot carries %d cache entries, want %d", len(st.ScoreCache), len(files))
+			}
 
-	b := mk()
-	if err := b.RestoreState(st); err != nil {
-		t.Fatal(err)
+			b := mk()
+			if err := b.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			// New telemetry lands after the snapshot; both engines see it.
+			if _, err := db.AppendAccess(replaydb.AccessRecord{
+				Time: 5000, FileID: 3, Device: "file0", BytesRead: 3e8,
+				OpenTS: 5000, CloseTS: 5001, Throughput: 6e9,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				la, da, err := a.ProposeLayout(files, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lb, db2, err := b.ProposeLayout(files, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(la, lb) {
+					t.Fatalf("step %d: restored layout %v != original %v", i, lb, la)
+				}
+				if !reflect.DeepEqual(da, db2) {
+					t.Fatalf("step %d: restored decisions diverged", i)
+				}
+			}
+		})
 	}
-	// New telemetry lands after the snapshot; both engines see it.
-	if _, err := db.AppendAccess(replaydb.AccessRecord{
-		Time: 5000, FileID: 3, Device: "file0", BytesRead: 3e8,
-		OpenTS: 5000, CloseTS: 5001, Throughput: 6e9,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		la, da, err := a.ProposeLayout(files, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, db2, err := b.ProposeLayout(files, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(la, lb) {
-			t.Fatalf("step %d: restored layout %v != original %v", i, lb, la)
-		}
-		if !reflect.DeepEqual(da, db2) {
-			t.Fatalf("step %d: restored decisions diverged", i)
-		}
+}
+
+// TestFullRescanDropsDepartedFiles checks that a full rescan rebuilds the
+// score cache from the current working set: a file that left it loses its
+// entry on the next rescan, not before, and files still present keep
+// full-width scores.
+func TestFullRescanDropsDepartedFiles(t *testing.T) {
+	for _, topK := range []int{0, 2} {
+		t.Run(fmt.Sprintf("topk=%d", topK), func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.TopK = topK
+			cfg.FullRescanEvery = 3
+			e, err := NewEngine(seedDB(t, 1200), testDevices, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetSummarySource(func() []storagesim.DeviceSummary { return blueskySummaries() })
+			if _, err := e.Train(); err != nil {
+				t.Fatal(err)
+			}
+			files := testFiles()
+			if _, _, err := e.ProposeLayout(files, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.cache) != len(files) {
+				t.Fatalf("after first decision: %d cache entries, want %d", len(e.cache), len(files))
+			}
+
+			// File 4 leaves the working set. Pruned decisions keep its
+			// entry; the next rescan (the fourth decision: the first, then
+			// every third after it) drops it.
+			kept := files[:3]
+			for n := 2; n <= 4; n++ {
+				if _, _, err := e.ProposeLayout(kept, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				_, has4 := e.cache[4]
+				rescan := topK == 0 || n == 4
+				if has4 == rescan {
+					t.Fatalf("decision %d (rescan %v): departed file cached = %v", n, rescan, has4)
+				}
+			}
+			if len(e.cache) != len(kept) {
+				t.Fatalf("after rescan: %d cache entries, want %d", len(e.cache), len(kept))
+			}
+			for _, f := range kept {
+				for j, g := range e.cache[f.ID].gens {
+					if g != e.modelGen {
+						t.Fatalf("file %d device %d: generation %d after rescan, want %d", f.ID, j, g, e.modelGen)
+					}
+				}
+			}
+			st, err := e.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.ScoreCache) != len(kept) {
+				t.Fatalf("snapshot carries %d cache entries, want %d", len(st.ScoreCache), len(kept))
+			}
+		})
 	}
 }

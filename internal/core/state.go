@@ -26,11 +26,12 @@ type EngineState struct {
 
 	Rewards []float64
 
-	// Candidate-pruning bookkeeping (Config.TopK > 0): the decision
-	// counter anchors the full-rescan cadence, the watermark anchors the
-	// dirty set, and the score cache carries each file's per-device
-	// scores and generations, so a restored run's pruned decisions replay
-	// bit-for-bit. All zero/empty on engines that never pruned; feature
+	// Candidate-scoring bookkeeping: the decision counter anchors the
+	// full-rescan cadence, the watermark anchors the dirty set, and the
+	// score cache carries each file's per-device scores and generations,
+	// so a restored run's decisions replay bit-for-bit. Every engine that
+	// has decided carries them, TopK = 0 ones included (their cache holds
+	// the last exhaustive pass, files×devices entries). Feature
 	// ingredients are deliberately not captured — a restored engine
 	// refetches them, deterministically, from the restored ReplayDB.
 	DecisionCount uint64

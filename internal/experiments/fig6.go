@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"geomancy/internal/core"
@@ -88,7 +89,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 	}
 	for r := 0; r < phase2; r++ {
 		var obsErr error
-		if _, err := runner2.RunOnce(func(res storagesim.AccessResult, wl, run int) {
+		if _, err := runner2.RunOnceContext(context.Background(), func(res storagesim.AccessResult, wl, run int) {
 			if err := tb.observe(res, wl, run); err != nil && obsErr == nil {
 				obsErr = err
 			}

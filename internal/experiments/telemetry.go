@@ -124,7 +124,7 @@ func (tb *testbed) bootstrap(runs int, seed int64) error {
 	shuffler := &policy.RandomDynamic{Rng: rng.New(seed)}
 	for r := 0; r < runs; r++ {
 		var obsErr error
-		if _, err := tb.runner.RunOnce(func(res storagesim.AccessResult, wl, run int) {
+		if _, err := tb.runner.RunOnceContext(context.Background(), func(res storagesim.AccessResult, wl, run int) {
 			if err := tb.observe(res, wl, run); err != nil && obsErr == nil {
 				obsErr = err
 			}

@@ -91,18 +91,6 @@ type Policy interface {
 	UnmarshalState(data []byte) error
 }
 
-// LayoutPolicy is the v1 policy contract: a bare Name/Layout pair.
-//
-// Deprecated: Policy superseded it in the placement-plane redesign; use
-// Propose, which adds cancellation, error reporting, and state
-// serialization. Every shipped policy still satisfies LayoutPolicy
-// through its deprecated Layout method; both will be removed one
-// release after the redesign.
-type LayoutPolicy interface {
-	Name() string
-	Layout(s State) map[int64]string
-}
-
 // Stateless provides the no-op serialization half of Policy for
 // policies whose decisions depend only on the snapshot. Embed it.
 type Stateless struct{}
@@ -190,11 +178,6 @@ func (LRU) Propose(_ context.Context, s State) (map[int64]string, error) {
 	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p LRU) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // MRU places the most recently used files on the slowest devices, which
 // benefits looping sequential scans (Chou & DeWitt; §VI).
 type MRU struct{ Stateless }
@@ -212,11 +195,6 @@ func (MRU) Propose(_ context.Context, s State) (map[int64]string, error) {
 	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p MRU) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // LFU places heavily accessed files on fast devices and rarely accessed
 // files on slow ones (Gupta et al.; §VI).
 type LFU struct{ Stateless }
@@ -232,19 +210,6 @@ func (LFU) Propose(_ context.Context, s State) (map[int64]string, error) {
 		return files[i].Accesses > files[j].Accesses // most accessed first
 	})
 	return assignGrouped(files, devicesByThroughput(s.Devices)), nil
-}
-
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p LFU) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
-// layoutCompat adapts Propose to the v1 Layout signature for the
-// deprecated methods: v1 policies never failed, so the error is
-// discarded the way v1 callers implicitly did.
-func layoutCompat(p Policy, s State) map[int64]string {
-	layout, _ := p.Propose(context.Background(), s)
-	return layout
 }
 
 // RandomStatic shuffles every file to a uniformly random device once and
@@ -297,11 +262,6 @@ func (p *RandomStatic) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *RandomStatic) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // RandomDynamic reshuffles file locations on every invocation (§VI
 // "random dynamic").
 type RandomDynamic struct {
@@ -345,11 +305,6 @@ func (p *RandomDynamic) UnmarshalState(data []byte) error {
 	}
 	return nil
 }
-
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *RandomDynamic) Layout(s State) map[int64]string { return layoutCompat(p, s) }
 
 func randomLayout(r *rng.RNG, s State) map[int64]string {
 	layout := make(map[int64]string, len(s.Files))
@@ -408,11 +363,6 @@ func (p *Static) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *Static) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // SingleMount places every file on one device — experiment 2's
 // all-data-on-one-storage-point base case.
 type SingleMount struct {
@@ -451,11 +401,6 @@ func (p *SingleMount) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p *SingleMount) Layout(s State) map[int64]string { return layoutCompat(p, s) }
-
 // NoOp never moves anything; the "leave the spread layout alone" control.
 type NoOp struct{ Stateless }
 
@@ -464,8 +409,3 @@ func (NoOp) Name() string { return "no-op" }
 
 // Propose implements Policy.
 func (NoOp) Propose(context.Context, State) (map[int64]string, error) { return nil, nil }
-
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (p NoOp) Layout(s State) map[int64]string { return layoutCompat(p, s) }

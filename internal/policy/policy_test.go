@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,9 +29,19 @@ func testState(nFiles int) State {
 	return s
 }
 
+// propose runs one Propose call on p, failing the test on error.
+func propose(t *testing.T, p Policy, s State) map[int64]string {
+	t.Helper()
+	layout, err := p.Propose(context.Background(), s)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name(), err)
+	}
+	return layout
+}
+
 func TestLRUPlacesRecentOnFast(t *testing.T) {
 	s := testState(24)
-	layout := LRU{}.Layout(s)
+	layout := propose(t, LRU{}, s)
 	if len(layout) != 24 {
 		t.Fatalf("layout has %d entries, want 24", len(layout))
 	}
@@ -50,7 +61,7 @@ func TestLRUPlacesRecentOnFast(t *testing.T) {
 
 func TestMRUPlacesRecentOnSlow(t *testing.T) {
 	s := testState(24)
-	layout := MRU{}.Layout(s)
+	layout := propose(t, MRU{}, s)
 	for id := int64(21); id <= 24; id++ {
 		if layout[id] != "d5" {
 			t.Errorf("file %d on %s, want d5 (most recent → slowest)", id, layout[id])
@@ -65,7 +76,7 @@ func TestMRUPlacesRecentOnSlow(t *testing.T) {
 
 func TestLFUPlacesHotOnFast(t *testing.T) {
 	s := testState(24)
-	layout := LFU{}.Layout(s)
+	layout := propose(t, LFU{}, s)
 	// Files 1..4 have the highest access counts → fastest device.
 	for id := int64(1); id <= 4; id++ {
 		if layout[id] != "d0" {
@@ -82,7 +93,7 @@ func TestLFUPlacesHotOnFast(t *testing.T) {
 func TestRemainderGoesToSlowest(t *testing.T) {
 	// 26 files over 6 devices: groups of 4, remainder 2 → slowest.
 	s := testState(26)
-	layout := LRU{}.Layout(s)
+	layout := propose(t, LRU{}, s)
 	count := map[string]int{}
 	for _, d := range layout {
 		count[d]++
@@ -99,7 +110,7 @@ func TestRemainderGoesToSlowest(t *testing.T) {
 
 func TestFewerFilesThanDevices(t *testing.T) {
 	s := testState(3)
-	layout := LFU{}.Layout(s)
+	layout := propose(t, LFU{}, s)
 	if len(layout) != 3 {
 		t.Fatalf("layout has %d entries, want 3", len(layout))
 	}
@@ -113,8 +124,8 @@ func TestFewerFilesThanDevices(t *testing.T) {
 }
 
 func TestEmptyState(t *testing.T) {
-	for _, p := range []LayoutPolicy{LRU{}, MRU{}, LFU{}, &RandomDynamic{Rng: rng.New(1)}, NoOp{}} {
-		if l := p.Layout(State{}); l != nil {
+	for _, p := range []Policy{LRU{}, MRU{}, LFU{}, &RandomDynamic{Rng: rng.New(1)}, NoOp{}} {
+		if l := propose(t, p, State{}); l != nil {
 			t.Errorf("%s on empty state = %v, want nil", p.Name(), l)
 		}
 	}
@@ -123,11 +134,11 @@ func TestEmptyState(t *testing.T) {
 func TestRandomStaticFiresOnce(t *testing.T) {
 	p := &RandomStatic{Rng: rng.New(2)}
 	s := testState(10)
-	first := p.Layout(s)
+	first := propose(t, p, s)
 	if first == nil || len(first) != 10 {
 		t.Fatalf("first layout = %v", first)
 	}
-	if second := p.Layout(s); second != nil {
+	if second := propose(t, p, s); second != nil {
 		t.Error("random static must not move files twice")
 	}
 }
@@ -135,8 +146,8 @@ func TestRandomStaticFiresOnce(t *testing.T) {
 func TestRandomDynamicReshuffles(t *testing.T) {
 	p := &RandomDynamic{Rng: rng.New(3)}
 	s := testState(24)
-	a := p.Layout(s)
-	b := p.Layout(s)
+	a := propose(t, p, s)
+	b := propose(t, p, s)
 	if a == nil || b == nil {
 		t.Fatal("dynamic layouts must not be nil")
 	}
@@ -158,10 +169,10 @@ func TestStaticPolicy(t *testing.T) {
 	if p.Name() != "Geomancy static" {
 		t.Errorf("Name = %q", p.Name())
 	}
-	if got := p.Layout(State{}); len(got) != 2 || got[1] != "d3" {
+	if got := propose(t, p, State{}); len(got) != 2 || got[1] != "d3" {
 		t.Errorf("first Layout = %v", got)
 	}
-	if got := p.Layout(State{}); got != nil {
+	if got := propose(t, p, State{}); got != nil {
 		t.Error("static must fire once")
 	}
 	anon := &Static{}
@@ -176,13 +187,13 @@ func TestSingleMount(t *testing.T) {
 		t.Errorf("Name = %q", p.Name())
 	}
 	s := testState(5)
-	layout := p.Layout(s)
+	layout := propose(t, p, s)
 	for id, d := range layout {
 		if d != "file0" {
 			t.Errorf("file %d on %s, want file0", id, d)
 		}
 	}
-	if p.Layout(s) != nil {
+	if propose(t, p, s) != nil {
 		t.Error("single mount must fire once")
 	}
 }
@@ -213,8 +224,8 @@ func TestHeuristicLayoutsComplete(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)
 		s := testState(n)
-		for _, p := range []LayoutPolicy{LRU{}, MRU{}, LFU{}} {
-			layout := p.Layout(s)
+		for _, p := range []Policy{LRU{}, MRU{}, LFU{}} {
+			layout := propose(t, p, s)
 			if len(layout) != n {
 				return false
 			}

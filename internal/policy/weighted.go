@@ -68,11 +68,6 @@ func (w Weighted) Propose(ctx context.Context, s State) (map[int64]string, error
 	return layout, nil
 }
 
-// Layout is the v1 single-shot entry point.
-//
-// Deprecated: Use Propose, which adds cancellation and error reporting.
-func (w Weighted) Layout(s State) map[int64]string { return layoutCompat(w, s) }
-
 // fileOrder extracts the base policy's file ranking.
 func (w Weighted) fileOrder(s State) []FileInfo {
 	files := make([]FileInfo, len(s.Files))

@@ -28,7 +28,7 @@ func weightedState(nFiles int) State {
 
 func TestWeightedLFUSharesByCapacity(t *testing.T) {
 	s := weightedState(20)
-	layout := Weighted{Base: LFU{}}.Layout(s)
+	layout := propose(t, Weighted{Base: LFU{}}, s)
 	if len(layout) != 20 {
 		t.Fatalf("layout covers %d files, want 20", len(layout))
 	}
@@ -50,7 +50,7 @@ func TestWeightedLFUSharesByCapacity(t *testing.T) {
 
 func TestWeightedLRUOrdering(t *testing.T) {
 	s := weightedState(10)
-	layout := Weighted{Base: LRU{}}.Layout(s)
+	layout := propose(t, Weighted{Base: LRU{}}, s)
 	// Most recent (id 10) on the fastest device.
 	if layout[10] != "d0" {
 		t.Errorf("most recent file on %s, want d0", layout[10])
@@ -69,13 +69,13 @@ func TestWeightedName(t *testing.T) {
 
 func TestWeightedUnsupportedBase(t *testing.T) {
 	w := Weighted{Base: NoOp{}}
-	if l := w.Layout(weightedState(5)); l != nil {
+	if l := propose(t, w, weightedState(5)); l != nil {
 		t.Error("unsupported base should yield nil layout")
 	}
 }
 
 func TestWeightedEmptyState(t *testing.T) {
-	if l := (Weighted{Base: LFU{}}).Layout(State{}); l != nil {
+	if l := propose(t, Weighted{Base: LFU{}}, State{}); l != nil {
 		t.Error("empty state should yield nil")
 	}
 }
@@ -85,7 +85,7 @@ func TestWeightedZeroCapacityFallsBack(t *testing.T) {
 	for i := range s.Devices {
 		s.Devices[i].Free = 0
 	}
-	layout := Weighted{Base: LFU{}}.Layout(s)
+	layout := propose(t, Weighted{Base: LFU{}}, s)
 	if len(layout) != 12 {
 		t.Fatalf("fallback layout covers %d files", len(layout))
 	}
@@ -104,7 +104,7 @@ func TestWeightedZeroCapacityFallsBack(t *testing.T) {
 func TestWeightedNegativeFreeClamped(t *testing.T) {
 	s := weightedState(10)
 	s.Devices[2].Free = -50 // over-committed device contributes nothing
-	layout := Weighted{Base: LFU{}}.Layout(s)
+	layout := propose(t, Weighted{Base: LFU{}}, s)
 	counts := map[string]int{}
 	for _, d := range layout {
 		counts[d]++
@@ -123,7 +123,7 @@ func TestWeightedRandomizedComplete(t *testing.T) {
 		n := 1 + rng.Intn(50)
 		s := weightedState(n)
 		for _, base := range []Policy{LRU{}, MRU{}, LFU{}} {
-			layout := Weighted{Base: base}.Layout(s)
+			layout := propose(t, Weighted{Base: base}, s)
 			if len(layout) != n {
 				t.Fatalf("%s weighted layout covers %d of %d files", base.Name(), len(layout), n)
 			}

@@ -239,11 +239,6 @@ func (c *Core) pickIndex(write bool) int {
 	return int(idx)
 }
 
-// RunOnce implements Workload.
-func (c *Core) RunOnce(obs workload.Observer) (workload.RunStats, error) {
-	return c.RunOnceContext(context.Background(), obs)
-}
-
 // RunOnceContext implements Workload: OpsPerRun accesses drawn from the
 // generator chain, with the same stats assembly as the BELLE II runner.
 // A cancelled run returns partial statistics with ctx.Err() and does not

@@ -5,44 +5,35 @@
 // cold sequential scans, and heterogeneous file populations.
 //
 // Every scenario satisfies Workload, the full contract the facade, the
-// experiments harness, and the checkpoint plane program against; the
-// engine loop (internal/core) consumes the narrower core.Workload subset
-// of the same methods. The original BELLE II runner
+// experiments harness, and the checkpoint plane program against; it
+// embeds core.Workload, the engine loop's narrower view. The original BELLE II runner
 // (internal/workload.Runner) is the "belle" scenario and reproduces its
 // pre-plane access sequences bit-for-bit.
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
+	"geomancy/internal/core"
 	"geomancy/internal/storagesim"
 	"geomancy/internal/trace"
-	"geomancy/internal/workload"
 )
 
 // Workload is a named, checkpointable workload driving a cluster. It
-// extends the engine loop's view (Files/ApplyLayout/RunOnceContext) with
-// placement, identity, and serialization: everything the facade and the
-// experiments harness need to run, compare, and resume a scenario.
+// extends the engine loop's view (core.Workload: Files, ApplyLayout,
+// RunOnceContext) with placement, identity, and serialization:
+// everything the facade and the experiments harness need to run,
+// compare, and resume a scenario.
 type Workload interface {
+	core.Workload
 	// Name identifies the scenario in registries, checkpoints, and
 	// policy-matrix tables.
 	Name() string
-	// Files returns the working set the engine lays out.
-	Files() []trace.BelleFile
 	// SpreadEvenly places the working set round-robin across devices —
 	// the paper's basic spread policy, every experiment's starting
 	// layout.
 	SpreadEvenly(devices []string) error
-	// ApplyLayout re-homes files per the layout, returning the moves
-	// performed. Files absent from the layout stay put.
-	ApplyLayout(layout map[int64]string) ([]storagesim.MoveResult, error)
-	// RunOnce executes one workload run.
-	RunOnce(obs workload.Observer) (workload.RunStats, error)
-	// RunOnceContext is RunOnce with cancellation.
-	RunOnceContext(ctx context.Context, obs workload.Observer) (workload.RunStats, error)
 	// Runs returns the number of completed runs.
 	Runs() int
 	// MarshalState serializes everything that influences future runs —

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,7 +45,7 @@ func traceRuns(t *testing.T, w Workload, runs int) []access {
 	t.Helper()
 	var seq []access
 	for i := 0; i < runs; i++ {
-		_, err := w.RunOnce(func(res storagesim.AccessResult, wl, run int) {
+		_, err := w.RunOnceContext(context.Background(), func(res storagesim.AccessResult, wl, run int) {
 			seq = append(seq, access{FileID: res.FileID, Read: res.BytesRead, Write: res.BytesWritten})
 		})
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"geomancy/internal/core"
 	"geomancy/internal/generator"
 	"geomancy/internal/rng"
 	"geomancy/internal/storagesim"
@@ -13,12 +12,10 @@ import (
 )
 
 // The BELLE II runner and the Core workload both satisfy the scenario
-// contract, and every scenario Workload satisfies the engine loop's
-// narrower view.
+// contract.
 var (
-	_ Workload      = (*workload.Runner)(nil)
-	_ Workload      = (*Core)(nil)
-	_ core.Workload = (Workload)(nil)
+	_ Workload = (*workload.Runner)(nil)
+	_ Workload = (*Core)(nil)
 )
 
 // defaultFiles resolves a scenario's population: the caller's files if

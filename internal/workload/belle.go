@@ -154,16 +154,11 @@ type RunStats struct {
 	LatencyP50, LatencyP95, LatencyP99 float64
 }
 
-// RunOnce executes one workload run: every file visited in random order,
-// each accessed 10–20 times in succession. The observer (if non-nil) sees
-// every access.
-func (r *Runner) RunOnce(obs Observer) (RunStats, error) {
-	return r.RunOnceContext(context.Background(), obs)
-}
-
-// RunOnceContext is RunOnce with cancellation: ctx is checked before every
-// access, and a cancelled run returns the partial statistics together with
-// ctx.Err() without counting as a completed run.
+// RunOnceContext executes one workload run: every file visited in random
+// order, each accessed 10–20 times in succession. The observer (if
+// non-nil) sees every access. ctx is checked before every access, and a
+// cancelled run returns the partial statistics together with ctx.Err()
+// without counting as a completed run.
 func (r *Runner) RunOnceContext(ctx context.Context, obs Observer) (RunStats, error) {
 	seq := trace.BelleRun(r.rng.Rand, len(r.files))
 	start := r.cluster.Now()

@@ -50,7 +50,7 @@ func TestRunOnceProducesTelemetry(t *testing.T) {
 	r := newTestRunner(t, 2)
 	var observed int
 	var lastRun int
-	stats, err := r.RunOnce(func(res storagesim.AccessResult, wl, run int) {
+	stats, err := r.RunOnceContext(context.Background(), func(res storagesim.AccessResult, wl, run int) {
 		observed++
 		lastRun = run
 		if wl != 1 {
@@ -78,7 +78,7 @@ func TestRunOnceProducesTelemetry(t *testing.T) {
 	}
 
 	// Second run increments the counter.
-	stats2, err := r.RunOnce(nil)
+	stats2, err := r.RunOnceContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestApplyLayoutPartial(t *testing.T) {
 
 func TestRunStatsLatencyPercentiles(t *testing.T) {
 	r := newTestRunner(t, 9)
-	stats, err := r.RunOnce(nil)
+	stats, err := r.RunOnceContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMetricsObserver(t *testing.T) {
 	r := newTestRunner(t, 10)
 	reg := telemetry.NewRegistry()
 	obs := MetricsObserver(reg)
-	stats, err := r.RunOnce(obs)
+	stats, err := r.RunOnceContext(context.Background(), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMetricsObserver(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	run := func() RunStats {
 		r := newTestRunner(t, 7)
-		s, err := r.RunOnce(nil)
+		s, err := r.RunOnceContext(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunErrorsOnUnavailableDevice(t *testing.T) {
 	r := newTestRunner(t, 8)
 	r.Cluster().SetAvailable("pic", false)
-	if _, err := r.RunOnce(nil); err == nil {
+	if _, err := r.RunOnceContext(context.Background(), nil); err == nil {
 		t.Error("run should fail when a hosting device disappears")
 	}
 }
@@ -245,7 +245,7 @@ func TestRunOnceContextCancel(t *testing.T) {
 		t.Errorf("cancelled run counted as completed (%d runs)", r.Runs())
 	}
 	// The runner remains usable: the next uncancelled run completes.
-	stats, err := r.RunOnce(nil)
+	stats, err := r.RunOnceContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
