@@ -1,6 +1,7 @@
 package geomancy
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -142,7 +143,7 @@ func TestDistributedDegradesWhenDaemonDies(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, err := sys.RunContext(t.Context()); err != nil {
+		if _, err := sys.RunContext(context.Background()); err != nil {
 			t.Fatalf("run %d after daemon death: %v (fail-open must absorb the outage)", i, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -49,11 +50,11 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 
 	files := testFiles()
 	for step := 0; step < 6; step++ {
-		wantLayout, wantDec, err := plain.ProposeLayoutContext(t.Context(), files, model.Checker, model.Valid)
+		wantLayout, wantDec, err := plain.ProposeLayoutContext(context.Background(), files, model.Checker, model.Valid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotLayout, gotDec, err := s.DecideLayout(t.Context(), files)
+		gotLayout, gotDec, err := s.DecideLayout(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestShardedDeterministicAcrossParallelism(t *testing.T) {
 		var layouts []map[int64]string
 		var decs [][]Decision
 		for step := 0; step < 6; step++ {
-			l, d, err := s.DecideLayout(t.Context(), files)
+			l, d, err := s.DecideLayout(context.Background(), files)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func TestShardedRouting(t *testing.T) {
 		{ID: 2, Path: "/b", Size: 1e8, Device: "tmp"},
 		{ID: 3, Path: "/c", Size: 1e8, Device: "USBtmp"},
 	}
-	_, dec, err := s.DecideLayout(t.Context(), files)
+	_, dec, err := s.DecideLayout(context.Background(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestShardedRouting(t *testing.T) {
 		}
 	}
 
-	if _, _, err := s.DecideLayout(t.Context(), []FileMeta{{ID: 9, Device: "nosuch"}}); err == nil {
+	if _, _, err := s.DecideLayout(context.Background(), []FileMeta{{ID: 9, Device: "nosuch"}}); err == nil {
 		t.Error("file on an unowned device should error")
 	}
 }
@@ -249,7 +250,7 @@ func TestShardedReservationsReleased(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Epsilon = 0
 	s := shardedBluesky(t, db, 2, cfg)
-	if _, _, err := s.DecideLayout(t.Context(), testFiles()); err != nil {
+	if _, _, err := s.DecideLayout(context.Background(), testFiles()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.ShardCount(); i++ {
@@ -277,7 +278,7 @@ func TestShardedSingleInferencePerCycle(t *testing.T) {
 	const cycles = 5
 	files := testFiles()
 	for i := 0; i < cycles; i++ {
-		if _, _, err := s.DecideLayout(t.Context(), files); err != nil {
+		if _, _, err := s.DecideLayout(context.Background(), files); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +309,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 
 	files := testFiles()
 	for i := 0; i < 3; i++ {
-		if _, _, err := a.DecideLayout(t.Context(), files); err != nil {
+		if _, _, err := a.DecideLayout(context.Background(), files); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,11 +336,11 @@ func TestShardedStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored shard 0 decisions = %d, want %d", b.Shard(0).Decisions(), a.Shard(0).Decisions())
 	}
 	for i := 0; i < 4; i++ {
-		la, da, err := a.DecideLayout(t.Context(), files)
+		la, da, err := a.DecideLayout(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, dbDec, err := b.DecideLayout(t.Context(), files)
+		lb, dbDec, err := b.DecideLayout(context.Background(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,12 +449,12 @@ func TestShardedSpeedup(t *testing.T) {
 	cfg := Config{Epochs: 4, WindowX: 400, Seed: 31, Epsilon: 0.05, LearningRate: 0.05, Parallelism: 4}
 	measure := func(shards int) time.Duration {
 		s, files := shardedWarehouse(t, nFiles, nDev, shards, cfg)
-		if _, _, err := s.DecideLayout(t.Context(), files); err != nil { // warm buffers
+		if _, _, err := s.DecideLayout(context.Background(), files); err != nil { // warm buffers
 			t.Fatal(err)
 		}
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, _, err := s.DecideLayout(t.Context(), files); err != nil {
+			if _, _, err := s.DecideLayout(context.Background(), files); err != nil {
 				t.Fatal(err)
 			}
 		}

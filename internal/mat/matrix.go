@@ -155,22 +155,38 @@ func MulTo(dst, a, b *Matrix) {
 	mulRows(dst, a, b, 0, a.Rows)
 }
 
-// mulRows computes output rows [lo, hi) of dst = a×b. Each output row
-// depends only on the matching row of a, so disjoint row ranges can run
-// concurrently and each row's arithmetic order is identical no matter how
-// the rows are sharded.
+// mulRows computes output rows [lo, hi) of dst = a×b. Every output
+// element is one ascending-k sum a[i][0]·b[0][j] + a[i][1]·b[1][j] + …
+// starting from +0, with no term skipped, whichever kernel computes it;
+// so each row's bits depend only on the matching row of a, and disjoint
+// row ranges can run concurrently with results independent of how the
+// rows are sharded. With AVX2, whole 4-row × 8-column panels run on the
+// vector kernel and the leftover columns and rows on the Go one.
 func mulRows(dst, a, b *Matrix, lo, hi int) {
+	n, kdim := b.Cols, a.Cols
+	if n8 := n &^ 7; useAVX2 && n8 > 0 && kdim > 0 {
+		p := lo + (hi-lo)&^3
+		for i := lo; i < p; i += 4 {
+			gemm4x8(&dst.Data[i*n], n, &a.Data[i*kdim], kdim, 1, &b.Data[0], n, kdim, n8, 0)
+		}
+		mulRowsGo(dst, a, b, lo, p, n8, n)
+		lo = p
+	}
+	mulRowsGo(dst, a, b, lo, hi, 0, n)
+}
+
+// mulRowsGo is the pure-Go kernel of mulRows, restricted to output rows
+// [lo, hi) and columns [jlo, jhi).
+func mulRowsGo(dst, a, b *Matrix, lo, hi, jlo, jhi int) {
 	// Output rows are processed four at a time with a 4×2 register tile:
 	// eight accumulators live in registers across the whole k loop, so the
 	// hot loop issues no stores and reuses every loaded b element across
-	// four rows. Each output element still sums its products in
-	// ascending-k order, so the result is bit-identical to the
-	// one-row-at-a-time loop (an a-element of exactly 0 contributes a ±0
-	// whose addition can never change an accumulator that started at +0).
+	// four rows. With kdim == 0 there is no b element to point at; the
+	// one-row loop below writes the zeros.
 	n := b.Cols
 	kdim := a.Cols
 	i := lo
-	for ; i+4 <= hi; i += 4 {
+	for ; i+4 <= hi && kdim > 0; i += 4 {
 		a0 := a.Data[i*kdim : (i+1)*kdim]
 		a1 := a.Data[(i+1)*kdim : (i+2)*kdim]
 		a2 := a.Data[(i+2)*kdim : (i+3)*kdim]
@@ -184,8 +200,8 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 		// two loads per step check-free. b.Data is reachable from the
 		// argument for the whole loop, so the pointer stays valid.
 		stride := uintptr(n) * 8
-		j := 0
-		for ; j+2 <= n; j += 2 {
+		j := jlo
+		for ; j+2 <= jhi; j += 2 {
 			var s00, s01, s10, s11, s20, s21, s30, s31 float64
 			pb := unsafe.Pointer(&b.Data[j])
 			k := 0
@@ -233,7 +249,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 			d2[j], d2[j+1] = s20, s21
 			d3[j], d3[j+1] = s30, s31
 		}
-		for ; j < n; j++ {
+		for ; j < jhi; j++ {
 			var s0, s1, s2, s3 float64
 			pb := unsafe.Pointer(&b.Data[j])
 			for k := 0; k < kdim; k++ {
@@ -249,16 +265,13 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 		}
 	}
 	for ; i < hi; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		drow := dst.Data[i*n+jlo : i*n+jhi]
 		for j := range drow {
 			drow[j] = 0
 		}
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		arow := a.Data[i*kdim : (i+1)*kdim]
 		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			brow := b.Data[k*n+jlo : k*n+jhi]
 			for j, bv := range brow {
 				drow[j] += av * bv
 			}
@@ -323,7 +336,8 @@ func MulTransA(a, b *Matrix) *Matrix {
 // a sum that started at +0 (such a sum is never −0). So the branchless
 // register-tiled kernel runs whenever every element of b is finite; a b
 // holding NaN or ±Inf (a diverging model's gradient) takes the reference
-// loop, where 0·Inf must stay skipped rather than become NaN.
+// loop, where 0·Inf must stay skipped rather than become NaN. With AVX2,
+// whole 4-row × 8-column panels of dst run on the vector kernel.
 func AddMulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransA dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -335,6 +349,21 @@ func AddMulTransA(dst, a, b *Matrix) {
 		addMulTransARef(dst, a, b)
 		return
 	}
+	m, n, kdim := a.Cols, b.Cols, a.Rows
+	lo := 0
+	if n8 := n &^ 7; useAVX2 && n8 > 0 {
+		lo = m &^ 3
+		for i := 0; i < lo; i += 4 {
+			gemm4x8(&dst.Data[i*n], n, &a.Data[i], 1, m, &b.Data[0], n, kdim, n8, 1)
+		}
+		addMulTransAGo(dst, a, b, 0, lo, n8, n)
+	}
+	addMulTransAGo(dst, a, b, lo, m, 0, n)
+}
+
+// addMulTransAGo is the pure-Go kernel of AddMulTransA for finite b,
+// restricted to dst rows [lo, hi) and columns [jlo, jhi).
+func addMulTransAGo(dst, a, b *Matrix, lo, hi, jlo, jhi int) {
 	// Output rows i..i+3 and columns j, j+1 form a 4×2 register tile. For
 	// each k the tile reads four consecutive elements of a's row k and two
 	// of b's row k; both operands stride by a whole row per k, so the
@@ -343,15 +372,15 @@ func AddMulTransA(dst, a, b *Matrix) {
 	// for in-range offsets while a.Data and b.Data stay reachable.
 	m, n, kdim := a.Cols, b.Cols, a.Rows
 	strideA, strideB := uintptr(m)*8, uintptr(n)*8
-	i := 0
-	for ; i+4 <= m; i += 4 {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
 		d0 := dst.Data[i*n : (i+1)*n]
 		d1 := dst.Data[(i+1)*n : (i+2)*n]
 		d2 := dst.Data[(i+2)*n : (i+3)*n]
 		d3 := dst.Data[(i+3)*n : (i+4)*n]
 		pa := unsafe.Pointer(&a.Data[i])
-		j := 0
-		for ; j+2 <= n; j += 2 {
+		j := jlo
+		for ; j+2 <= jhi; j += 2 {
 			var s00, s01, s10, s11, s20, s21, s30, s31 float64
 			pb := unsafe.Pointer(&b.Data[j])
 			var oa, ob uintptr
@@ -383,7 +412,7 @@ func AddMulTransA(dst, a, b *Matrix) {
 			d3[j] += s30
 			d3[j+1] += s31
 		}
-		for ; j < n; j++ {
+		for ; j < jhi; j++ {
 			var s0, s1, s2, s3 float64
 			pb := unsafe.Pointer(&b.Data[j])
 			var oa, ob uintptr
@@ -403,12 +432,12 @@ func AddMulTransA(dst, a, b *Matrix) {
 			d3[j] += s3
 		}
 	}
-	for ; i < m; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
+	for ; i < hi; i++ {
+		drow := dst.Data[i*n+jlo : i*n+jhi]
 		pa := unsafe.Pointer(&a.Data[i])
 		for j := range drow {
 			var s float64
-			pb := unsafe.Pointer(&b.Data[j])
+			pb := unsafe.Pointer(&b.Data[jlo+j])
 			var oa, ob uintptr
 			for k := 0; k < kdim; k++ {
 				s += *(*float64)(unsafe.Add(pa, oa)) * *(*float64)(unsafe.Add(pb, ob))
@@ -535,12 +564,23 @@ func MulTransBTo(dst, a, b *Matrix) {
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
+	TransposeTo(out, m)
+	return out
+}
+
+// TransposeTo sets dst = mᵀ, reusing dst's storage. dst must be
+// m.Cols×m.Rows and must not alias m. With a transposed copy of b,
+// MulTo(dst, a, bᵀ) computes the same bits as MulTransBTo(dst, a, b):
+// both are one ascending-k sum per element starting from +0.
+func TransposeTo(dst, m *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("mat: TransposeTo dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
-			out.Data[c*out.Cols+r] = m.Data[r*m.Cols+c]
+			dst.Data[c*dst.Cols+r] = m.Data[r*m.Cols+c]
 		}
 	}
-	return out
 }
 
 // Add returns a+b elementwise.
@@ -556,6 +596,10 @@ func Add(a, b *Matrix) *Matrix {
 // AddInPlace sets a += b elementwise.
 func AddInPlace(a, b *Matrix) {
 	sameShape("AddInPlace", a, b)
+	if useAVX2 && len(a.Data) > 0 {
+		addVec(&a.Data[0], &b.Data[0], len(a.Data))
+		return
+	}
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
 	}
@@ -608,6 +652,10 @@ func (m *Matrix) ScaleInPlace(s float64) {
 // AddScaled sets a += s*b elementwise; the axpy of gradient descent.
 func AddScaled(a *Matrix, s float64, b *Matrix) {
 	sameShape("AddScaled", a, b)
+	if useAVX2 && len(a.Data) > 0 {
+		axpyVec(&a.Data[0], s, &b.Data[0], len(a.Data))
+		return
+	}
 	for i := range a.Data {
 		a.Data[i] += s * b.Data[i]
 	}

@@ -79,37 +79,49 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 }
 
 // checkTransKernels compares every new kernel with its reference on one
-// set of operands: AddMulTransA against AddInPlace(dst, refMulTransA),
-// MulTransA, MulTransBTo and MulTransB against refMulTransB, and
-// AddSumRows against AddInPlace(dst, refSumRows).
+// set of operands, on the AVX2 and the pure-Go path: AddMulTransA against
+// refAdd(dst, refMulTransA), MulTransA, MulTransBTo and MulTransB against
+// refMulTransB, and AddSumRows against refAdd(dst, refSumRows).
 func checkTransKernels(t *testing.T, a, b, c, dst, bias *Matrix) {
 	t.Helper()
-	want := dst.Clone()
-	AddInPlace(want, refMulTransA(a, b))
-	got := dst.Clone()
-	AddMulTransA(got, a, b)
-	requireSameBits(t, "AddMulTransA", got, want)
-	requireSameBits(t, "MulTransA", MulTransA(a, b), refMulTransA(a, b))
-
+	want := refAdd(dst, refMulTransA(a, b))
 	wantB := refMulTransB(b, c)
-	gotB := New(b.Rows, c.Rows)
-	gotB.Fill(math.NaN()) // every element must be overwritten
-	MulTransBTo(gotB, b, c)
-	requireSameBits(t, "MulTransBTo", gotB, wantB)
-	requireSameBits(t, "MulTransB", MulTransB(b, c), wantB)
+	wantS := refAdd(bias, refSumRows(b))
+	onEachPath(func(path string) {
+		got := dst.Clone()
+		AddMulTransA(got, a, b)
+		requireSameBits(t, "AddMulTransA"+path, got, want)
+		requireSameBits(t, "MulTransA"+path, MulTransA(a, b), refMulTransA(a, b))
 
-	wantS := bias.Clone()
-	AddInPlace(wantS, refSumRows(b))
-	gotS := bias.Clone()
-	AddSumRows(gotS, b)
-	requireSameBits(t, "AddSumRows", gotS, wantS)
-	requireSameBits(t, "SumRows", b.SumRows(), refSumRows(b))
+		gotB := New(b.Rows, c.Rows)
+		gotB.Fill(math.NaN()) // every element must be overwritten
+		MulTransBTo(gotB, b, c)
+		requireSameBits(t, "MulTransBTo"+path, gotB, wantB)
+		requireSameBits(t, "MulTransB"+path, MulTransB(b, c), wantB)
+
+		gotS := bias.Clone()
+		AddSumRows(gotS, b)
+		requireSameBits(t, "AddSumRows"+path, gotS, wantS)
+		requireSameBits(t, "SumRows"+path, b.SumRows(), refSumRows(b))
+	})
 }
 
 // specialMatrix fills a rows×cols matrix with random values, replacing a
 // share of them with 0, −0, NaN, +Inf and −Inf.
 func specialMatrix(rng *rand.Rand, rows, cols int, special float64) *Matrix {
-	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	return fillSpecial(rng, rows, cols, special,
+		[]float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)})
+}
+
+// finiteSpecialMatrix is specialMatrix with finite specials only: 0, −0,
+// a subnormal, and magnitudes whose products overflow to ±Inf. A finite b
+// keeps AddMulTransA on its tiled kernels instead of the reference loop.
+func finiteSpecialMatrix(rng *rand.Rand, rows, cols int, special float64) *Matrix {
+	return fillSpecial(rng, rows, cols, special,
+		[]float64{0, math.Copysign(0, -1), 5e-324, 1e300, -1e300})
+}
+
+func fillSpecial(rng *rand.Rand, rows, cols int, special float64, specials []float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
 		switch {
@@ -125,17 +137,21 @@ func specialMatrix(rng *rand.Rand, rows, cols int, special float64) *Matrix {
 }
 
 // The tiled kernels must be bit-identical to the reference loops on every
-// shape — including each tile tail (rows or columns not a multiple of 4
-// or 2, and empty operands) — and on operands holding zeros, −0, NaN and
-// ±Inf, which send AddMulTransA down its reference fallback.
+// shape — including each tile tail (rows not a multiple of 4, columns not
+// a multiple of 8 or 2, and empty operands) — and on operands holding
+// zeros, −0, NaN and ±Inf; a non-finite b sends AddMulTransA down its
+// reference fallback, a finite one keeps it on the tiled kernels.
 func TestTransKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, special := range []float64{0, 0.02, 0.3} {
 		for k := 0; k <= 9; k++ {
 			for m := 0; m <= 9; m++ {
-				for n := 0; n <= 7; n++ {
+				for n := 0; n <= 17; n++ {
 					a := specialMatrix(rng, k, m, special)
 					b := specialMatrix(rng, k, n, special)
+					if n%2 == 0 {
+						b = finiteSpecialMatrix(rng, k, n, special)
+					}
 					c := specialMatrix(rng, rng.Intn(7), n, special)
 					dst := specialMatrix(rng, m, n, special)
 					bias := specialMatrix(rng, 1, n, special)

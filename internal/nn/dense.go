@@ -143,7 +143,7 @@ func (d *Dense) backward(dOut *mat.Matrix) *mat.Matrix {
 		dz = mat.New(dOut.Rows, dOut.Cols)
 	}
 	dX := mat.New(dOut.Rows, d.In)
-	d.backprop(dX, dz, dOut, d.lastIn, d.lastOut)
+	d.backprop(dX, dz, dOut, d.lastIn, d.lastOut, d.W.Transpose())
 	return dX
 }
 
@@ -152,10 +152,11 @@ func (d *Dense) backward(dOut *mat.Matrix) *mat.Matrix {
 // dz (unused, and may be nil, for Linear layers, whose dZ is dOut itself),
 // adds inᵀ·dZ to dW and the column sums of dZ to dB, and — unless dX is
 // nil, as for a network's first layer — writes dLoss/dInput = dZ·Wᵀ into
-// dX. Every element is computed with the same operations in the same
-// order as the allocating Hadamard / MulTransA / SumRows / MulTransB
-// formulation, so gradients are bit-identical to it.
-func (d *Dense) backprop(dX, dz, dOut, in, out *mat.Matrix) {
+// dX as the plain product dZ·wT, where wT holds Wᵀ (Out×In), so that it
+// runs on the GEMM panel kernel. Every element is computed with the same
+// operations in the same order as the allocating Hadamard / MulTransA /
+// SumRows / MulTransB formulation, so gradients are bit-identical to it.
+func (d *Dense) backprop(dX, dz, dOut, in, out, wT *mat.Matrix) {
 	switch d.Act {
 	case Linear:
 		dz = dOut
@@ -181,7 +182,7 @@ func (d *Dense) backprop(dX, dz, dOut, in, out *mat.Matrix) {
 	mat.AddMulTransA(d.dW, in, dz)
 	mat.AddSumRows(d.dB, dz)
 	if dX != nil {
-		mat.MulTransBTo(dX, dz, d.W)
+		mat.MulTo(dX, dz, wT)
 	}
 }
 

@@ -63,6 +63,9 @@ func paramsDigest(net *Network) uint64 {
 // gradients overflow, a zero input element times an infinite gradient must
 // still contribute nothing, so the constant feature's weights stay finite.
 //
+// Each case runs twice, on the AVX2 kernels (where the CPU has them) and
+// on the pure-Go fallback, and both must hit the same constants.
+//
 // The constants hold for amd64, where Go never contracts a*b+c into a
 // fused multiply-add; architectures that do fuse round differently.
 func TestFitGoldenWeights(t *testing.T) {
@@ -86,30 +89,44 @@ func TestFitGoldenWeights(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := goldenDataset(tc.scale)
-			net, err := BuildModel(tc.model, 6, rand.New(rand.NewSource(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			loss, err := net.Fit(ds, FitConfig{
-				Epochs:      6,
-				BatchSize:   32,
-				Optimizer:   &SGD{LR: 0.05},
-				Rng:         rand.New(rand.NewSource(2)),
-				Parallelism: tc.par,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diverged := math.IsNaN(loss) || math.IsInf(loss, 0); diverged != tc.diverges {
-				t.Fatalf("loss %v: diverged = %v, want %v", loss, diverged, tc.diverges)
-			}
-			if got := math.Float64bits(loss); got != tc.loss {
-				t.Errorf("loss bits = %#x (%v), want %#x", got, loss, tc.loss)
-			}
-			if got := paramsDigest(net); got != tc.digest {
-				t.Errorf("params digest = %#x, want %#x", got, tc.digest)
+			for _, simd := range []bool{true, false} {
+				path := "go"
+				if simd {
+					path = "simd"
+				}
+				loss, digest := goldenFit(t, simd, tc.model, tc.par, tc.scale)
+				if diverged := math.IsNaN(loss) || math.IsInf(loss, 0); diverged != tc.diverges {
+					t.Fatalf("%s: loss %v: diverged = %v, want %v", path, loss, diverged, tc.diverges)
+				}
+				if got := math.Float64bits(loss); got != tc.loss {
+					t.Errorf("%s: loss bits = %#x (%v), want %#x", path, got, loss, tc.loss)
+				}
+				if digest != tc.digest {
+					t.Errorf("%s: params digest = %#x, want %#x", path, digest, tc.digest)
+				}
 			}
 		})
 	}
+}
+
+// goldenFit trains the seeded golden model, with the SIMD kernels on or
+// off, and returns its final loss and parameter digest.
+func goldenFit(t *testing.T, simd bool, model, par int, scale float64) (float64, uint64) {
+	t.Helper()
+	defer mat.SetSIMD(simd)()
+	net, err := BuildModel(model, 6, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := net.Fit(goldenDataset(scale), FitConfig{
+		Epochs:      6,
+		BatchSize:   32,
+		Optimizer:   &SGD{LR: 0.05},
+		Rng:         rand.New(rand.NewSource(2)),
+		Parallelism: par,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss, paramsDigest(net)
 }

@@ -239,7 +239,7 @@ func (n *Network) Fit(ds *Dataset, cfg FitConfig) (float64, error) {
 		pool = newChunkPool(n, maxRows, cfg.Parallelism)
 		defer pool.close()
 	} else {
-		serial = newTrainArena(n, maxRows)
+		serial = newTrainArena(n, maxRows, nil)
 	}
 
 	var lastLoss float64

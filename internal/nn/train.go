@@ -9,8 +9,9 @@ import (
 )
 
 // trainArena is one training replica's working memory for the whole of a
-// Fit: the assembled batch and target matrices, the loss gradient, and per
-// dense layer the output, dZ and dX buffers. Buffers are allocated once at
+// Fit: the assembled batch and target matrices, the loss gradient, per
+// dense layer the output, dZ and dX buffers, and the transposed weights
+// the dX products read. Buffers are allocated once at
 // the largest batch height and resliced to each batch's height, so a
 // steady-state training step allocates nothing. The arena is live only
 // inside Fit: the public Forward, Predict, PredictOne, ValidationLoss and
@@ -28,10 +29,18 @@ type trainArena struct {
 	out        []*mat.Matrix // per layer: the layer's activation output
 	dz         []*mat.Matrix // per layer: dLoss/dZ; nil for Linear layers, whose dZ is the upstream gradient
 	dx         []*mat.Matrix // per layer: dLoss/dInput; nil for layer 0, whose input gradient is unused
+	// wT holds per layer Wᵀ, the right operand of dX = dZ·Wᵀ; nil for
+	// layer 0. W changes only at the optimizer step, so transposeWeights
+	// refreshes wT once per minibatch. The chunk replicas of a parallel
+	// fit share one wT, read-only while the chunks run, just as they
+	// share W.
+	wT []*mat.Matrix
 }
 
-// newTrainArena sizes an arena for batches of up to maxRows samples.
-func newTrainArena(net *Network, maxRows int) *trainArena {
+// newTrainArena sizes an arena for batches of up to maxRows samples. A nil
+// wT allocates the arena's own transposed weights; a non-nil one is
+// another arena's, shared.
+func newTrainArena(net *Network, maxRows int, wT []*mat.Matrix) *trainArena {
 	a := &trainArena{net: net, grads: net.GradsRef()}
 	if net.rec != nil || len(net.flat) == 0 {
 		return a
@@ -51,6 +60,10 @@ func newTrainArena(net *Network, maxRows int) *trainArena {
 	a.out = make([]*mat.Matrix, len(dense))
 	a.dz = make([]*mat.Matrix, len(dense))
 	a.dx = make([]*mat.Matrix, len(dense))
+	a.wT = wT
+	if wT == nil {
+		a.wT = make([]*mat.Matrix, len(dense))
+	}
 	for l, d := range dense {
 		a.out[l] = mat.New(maxRows, d.Out)
 		if d.Act != Linear {
@@ -58,9 +71,21 @@ func newTrainArena(net *Network, maxRows int) *trainArena {
 		}
 		if l > 0 {
 			a.dx[l] = mat.New(maxRows, d.In)
+			if wT == nil {
+				a.wT[l] = mat.New(d.Out, d.In)
+			}
 		}
 	}
 	return a
+}
+
+// transposeWeights refreshes wT from the current weights.
+func (a *trainArena) transposeWeights() {
+	for l, t := range a.wT {
+		if t != nil {
+			mat.TransposeTo(t, a.dense[l].W)
+		}
+	}
 }
 
 // withRows reslices an arena buffer to its first rows rows in place.
@@ -110,7 +135,7 @@ func (a *trainArena) step(ds *Dataset, rows []int, batchElems int) float64 {
 			in = a.out[l-1]
 		}
 		dx := withRows(a.dx[l], b)
-		a.dense[l].backprop(dx, withRows(a.dz[l], b), g, in, a.out[l])
+		a.dense[l].backprop(dx, withRows(a.dz[l], b), g, in, a.out[l], a.wT[l])
 		g = dx
 	}
 	return sse
@@ -119,6 +144,7 @@ func (a *trainArena) step(ds *Dataset, rows []int, batchElems int) float64 {
 // fitBatch is serial training's minibatch step: the whole batch's
 // gradient in net's accumulators, and its MSE.
 func (a *trainArena) fitBatch(ds *Dataset, batch []int) float64 {
+	a.transposeWeights()
 	elems := len(batch) * a.net.OutSize()
 	return a.step(ds, batch, elems) / float64(elems)
 }
@@ -182,7 +208,11 @@ func newChunkPool(n *Network, maxRows, workers int) *chunkPool {
 		helpers: min(workers, chunks) - 1,
 	}
 	for c := range p.arenas {
-		p.arenas[c] = newTrainArena(n.cloneShared(), min(gradChunkRows, maxRows))
+		var wT []*mat.Matrix
+		if c > 0 {
+			wT = p.arenas[0].wT
+		}
+		p.arenas[c] = newTrainArena(n.cloneShared(), min(gradChunkRows, maxRows), wT)
 	}
 	p.wake = make(chan struct{}, p.helpers)
 	p.exitWG.Add(p.helpers)
@@ -222,6 +252,7 @@ func (p *chunkPool) fitBatch(ds *Dataset, batch []int, grads []*mat.Matrix) floa
 	p.elems = len(batch) * p.arenas[0].net.OutSize()
 	p.chunks = (len(batch) + gradChunkRows - 1) / gradChunkRows
 	p.next.Store(0)
+	p.arenas[0].transposeWeights()
 	p.batchWG.Add(p.helpers)
 	for range p.helpers {
 		p.wake <- struct{}{}
